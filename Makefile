@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet analyzers build test-race bench-smoke overload-smoke fuzz-smoke regalloc-smoke sched-smoke tierup-smoke cluster-smoke meter-smoke warm-smoke chain-smoke test bench bench-regalloc bench-sched bench-tierup bench-cluster bench-meter bench-warm bench-chain
+.PHONY: check vet analyzers build test-race bench-smoke overload-smoke fuzz-smoke sched-smoke tierup-smoke cluster-smoke meter-smoke warm-smoke chain-smoke test bench bench-sched bench-tierup bench-cluster bench-meter bench-warm bench-chain
 
 # check is the pre-merge gate: static analysis (go vet plus the project
 # analyzers: noalloc hot-path enforcement, mutex-copy and lock-ordering,
@@ -21,7 +21,7 @@ GO ?= go
 # both metering modes, must produce identical results, traps, and gas) and
 # a hostile-input fuzz of the sledge.output handoff host call (arbitrary
 # ptr/len must trap or stay in bounds).
-check: vet analyzers build test-race bench-smoke overload-smoke regalloc-smoke sched-smoke tierup-smoke cluster-smoke meter-smoke warm-smoke chain-smoke fuzz-smoke
+check: vet analyzers build test-race bench-smoke overload-smoke sched-smoke tierup-smoke cluster-smoke meter-smoke warm-smoke chain-smoke fuzz-smoke
 
 vet:
 	$(GO) vet ./...
@@ -42,15 +42,6 @@ bench-smoke:
 
 overload-smoke:
 	$(GO) test -run=TestOverloadSmoke -count=1 ./internal/experiments/
-
-# regalloc-smoke runs the register-IR ablation end-to-end at quick sizes
-# (correctness + snapshot plumbing); the acceptance-grade numbers come from
-# `make bench-regalloc`, which regenerates BENCH_regalloc.json at full sizes.
-regalloc-smoke:
-	$(GO) test -run=TestRegallocAblationSmoke -count=1 ./internal/experiments/
-
-bench-regalloc:
-	$(GO) run ./cmd/sledge-bench -run regalloc -snapshot BENCH_regalloc.json
 
 # sched-smoke runs the scheduler scale-out sweep at quick sizes (all
 # distribution modes complete + snapshot plumbing); the acceptance-grade

@@ -504,11 +504,12 @@ func BenchmarkAblationFusion(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationRegalloc isolates the register-allocation pass under
-// BoundsSoftware (the paper's software-checked configuration): register
-// form vs the stack-machine hot loop, same lowering otherwise. The
-// three-addr metric is the count of fused three-address register ops plus
-// register-operand branches the pass produced for the kernel module.
+// BenchmarkAblationRegalloc isolates the register-form peepholes under
+// BoundsSoftware (the paper's software-checked configuration): the default
+// register form vs register form with fusion off (NoFusion also skips the
+// three-address rewrites), same loop otherwise. The three-addr metric is
+// the count of fused three-address register ops plus register-operand
+// branches the pass produced for the kernel module.
 func BenchmarkAblationRegalloc(b *testing.B) {
 	k, _ := polybench.Get("gemm")
 	n := k.TestN * 2
@@ -517,7 +518,7 @@ func BenchmarkAblationRegalloc(b *testing.B) {
 		c    engine.Config
 	}{
 		{"register", engine.Config{Bounds: engine.BoundsSoftware}},
-		{"stack", engine.Config{Bounds: engine.BoundsSoftware, NoRegalloc: true}},
+		{"unfused", engine.Config{Bounds: engine.BoundsSoftware, NoFusion: true}},
 	} {
 		cm, err := k.Compile(n, cfg.c)
 		if err != nil {
@@ -525,9 +526,7 @@ func BenchmarkAblationRegalloc(b *testing.B) {
 		}
 		rs := cm.Regalloc()
 		b.Run(cfg.name, func(b *testing.B) {
-			if rs.Enabled {
-				b.ReportMetric(float64(rs.ThreeAddressFused+rs.BranchFused), "three-addr")
-			}
+			b.ReportMetric(float64(rs.ThreeAddressFused+rs.BranchFused), "three-addr")
 			for i := 0; i < b.N; i++ {
 				if _, err := polybench.RunWasm(cm, n); err != nil {
 					b.Fatal(err)

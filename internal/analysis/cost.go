@@ -13,9 +13,9 @@ package analysis
 // Because the weights are defined over *source* instructions (the
 // wasm.Instr stream every tier starts from), the gas charged for a given
 // execution path is a pure function of (module, path): the naive structured
-// interpreter, the stack-form optimized loop, and the register-form loop all
-// observe bit-identical gas for the same inputs, no matter how fusion,
-// check elision, or register allocation reshaped the executed code.
+// interpreter and the optimized register-form loop observe bit-identical
+// gas for the same inputs, no matter how fusion, check elision, or register
+// allocation reshaped the executed code.
 //
 // Region boundaries (= charge points) are placed so that:
 //

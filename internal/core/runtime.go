@@ -105,8 +105,8 @@ type ModuleStats struct {
 	// certification); all zero when analysis was disabled.
 	Analysis engine.AnalysisStats `json:"analysis"`
 	// Regalloc is the register-allocation summary for the module (register
-	// file size, three-address fusions, branch fusions); Enabled is false
-	// when the module runs on the stack-form or naive interpreter.
+	// file size, three-address fusions, branch fusions). Every module the
+	// runtime accepts runs in register form, so Enabled is always true.
 	Regalloc engine.RegallocStats `json:"regalloc"`
 	// ResidentBytes is the module's reclaimable footprint (compiled code +
 	// snapshot + idle pool slabs) — what the bounded cache charges against
@@ -317,7 +317,7 @@ func New(cfg Config) *Runtime {
 	}
 	if cfg.Tiering != nil {
 		rt.tiering = cfg.Tiering.withDefaults()
-		rt.ladder = engine.NewLadder(cfg.Engine, rt.tiering.NaiveStart)
+		rt.ladder = engine.NewLadder(cfg.Engine, false)
 	}
 	scfg := sched.Config{
 		Workers:      cfg.Workers,
@@ -327,10 +327,10 @@ func New(cfg Config) *Runtime {
 	}
 	if scfg.Policy == 0 || scfg.Policy == sched.PolicyPreemptiveRR {
 		// Calibrate the quantum for the engine configuration modules are
-		// actually compiled with: the register-form and stack-form
-		// interpreters (and the naive tier) retire instructions at
+		// actually compiled with: the metering modes retire gas at
 		// materially different rates, so a shared rate would turn the 5 ms
 		// time slice into a different wall-clock quantum per configuration.
+		// Both tiering rungs run the same register loop and share the rate.
 		scfg.FuelPerMS = engine.CalibrateFuelRateFor(cfg.Engine)
 	}
 	rt.pool = sched.NewPool(scfg)
@@ -390,6 +390,22 @@ var ErrNoModule = errors.New("core: no such module")
 // ErrDuplicateModule reports a name collision at registration.
 var ErrDuplicateModule = errors.New("core: module already registered")
 
+// ErrNaiveTier reports naive-tier code offered to the runtime. The naive
+// tier's recursive interpreter cannot yield at a quantum boundary, so a
+// worker running it could not preempt a spinning tenant; the runtime
+// accepts only preemptible (optimized-tier) code. The naive tier remains an
+// engine-level reference and benchmark comparator.
+var ErrNaiveTier = errors.New("core: naive-tier code cannot be preempted")
+
+// refuseNaive refuses naive-tier code: a runtime whose engine config
+// selects the naive tier, or a precompiled module built at it.
+func (rt *Runtime) refuseNaive(name string, cm *engine.CompiledModule) error {
+	if rt.cfg.Engine.Tier == engine.TierNaive || (cm != nil && cm.Config().Tier == engine.TierNaive) {
+		return fmt.Errorf("core: register %s: %w", name, ErrNaiveTier)
+	}
+	return nil
+}
+
 // RegisterWCC compiles WCC source and registers it under name. Without
 // tiering this is the expensive path, run once at deployment; with adaptive
 // tiering only the cheap rung is compiled here and the full pipeline runs
@@ -413,6 +429,9 @@ func (rt *Runtime) RegisterWasm(name string, bin []byte, entry string) (*Module,
 // the binary so the promotion controller can recompile them at the full
 // rung.
 func (rt *Runtime) registerBinary(name string, bin []byte, entry, tenant string) (*Module, error) {
+	if err := rt.refuseNaive(name, nil); err != nil {
+		return nil, err
+	}
 	cfg := rt.cfg.Engine
 	tiered := rt.tieringActive()
 	if tiered {
@@ -441,8 +460,12 @@ func (rt *Runtime) registerBinary(name string, bin []byte, entry, tenant string)
 
 // RegisterCompiled registers an already-compiled module. Precompiled
 // registrations bypass the tier ladder: the runtime has no binary to
-// recompile, so the module serves the given form forever.
+// recompile, so the module serves the given form forever. A naive-tier cm
+// is refused with ErrNaiveTier.
 func (rt *Runtime) RegisterCompiled(name string, cm *engine.CompiledModule, entry, tenant string) (*Module, error) {
+	if err := rt.refuseNaive(name, cm); err != nil {
+		return nil, err
+	}
 	if entry == "" {
 		entry = "main"
 	}
@@ -504,8 +527,12 @@ func (rt *Runtime) Unregister(name string) bool {
 // absent. The new deployment starts with a clean circuit and service-time
 // estimate; the ResetModule generation bump also stops in-flight requests
 // on the old deployment from feeding their (old-code) latencies into the
-// fresh estimator when they complete.
+// fresh estimator when they complete. A naive-tier cm is refused with
+// ErrNaiveTier and the current deployment keeps serving.
 func (rt *Runtime) Replace(name string, cm *engine.CompiledModule, entry, tenant string) (*Module, error) {
+	if err := rt.refuseNaive(name, cm); err != nil {
+		return nil, err
+	}
 	if entry == "" {
 		entry = "main"
 	}

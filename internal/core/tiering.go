@@ -64,11 +64,6 @@ type TieringConfig struct {
 	// Mode selects adaptive promotion, the static ablation, or the
 	// cheap-forever ablation. Default TierAdaptive.
 	Mode TieringMode
-	// NaiveStart makes the cheap rung the naive tier (decode+validate
-	// only) instead of the optimized tier with analysis and regalloc
-	// disabled. Registration is cheapest this way; first requests run on
-	// the structured interpreter until promotion.
-	NaiveStart bool
 	// HotInvocations promotes a module once its completed-invocation count
 	// reaches this threshold. Default 64.
 	HotInvocations uint64
@@ -126,7 +121,8 @@ type profile struct {
 // hotness signal oscillates.
 const (
 	// tierIdle: not a ladder participant (static mode, precompiled
-	// registration, or a naive-tier engine config with nothing to promote).
+	// registration, or an unanalyzed engine config with nothing to
+	// promote).
 	tierIdle int32 = iota
 	// tierCheap: cheap rung installed, candidate for promotion.
 	tierCheap
@@ -367,13 +363,9 @@ func (rt *Runtime) TieringStats() (TieringSnapshot, bool) {
 		RecompileFailures: rt.recompileFailures.Load(),
 		TotalRecompile:    time.Duration(rt.recompileTotalNanos.Load()),
 	}
-	switch {
-	case rt.ladder.Static():
+	snap.CheapTier = engine.TierLabelCheap
+	if rt.ladder.Static() {
 		snap.CheapTier = engine.TierLabelFull
-	case rt.tiering.NaiveStart:
-		snap.CheapTier = engine.TierLabelNaive
-	default:
-		snap.CheapTier = engine.TierLabelCheap
 	}
 	rt.mu.RLock()
 	defer rt.mu.RUnlock()

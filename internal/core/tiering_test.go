@@ -73,7 +73,6 @@ func TestAdaptiveRegistersCheapTier(t *testing.T) {
 		tier string
 	}{
 		{"optimized-cheap", TieringConfig{Mode: TierAdaptive}, engine.TierLabelCheap},
-		{"naive-start", TieringConfig{Mode: TierAdaptive, NaiveStart: true}, engine.TierLabelNaive},
 		{"static", TieringConfig{Mode: TierStatic}, engine.TierLabelFull},
 		{"cheap-only", TieringConfig{Mode: TierCheapOnly}, engine.TierLabelCheap},
 	}
@@ -556,52 +555,43 @@ func TestStatsEndpointReportsTiering(t *testing.T) {
 // compiled form), and the atomic module swap neither loses nor double-counts
 // hotness gas — the profile's total is always the sum of per-request charges.
 func TestPromotionGasContinuity(t *testing.T) {
-	for _, mode := range []struct {
-		name       string
-		naiveStart bool
-	}{
-		{"cheap-optimized", false},
-		{"cheap-naive", true},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			rt := newTieringRuntime(t, TieringConfig{
-				HotInvocations: 1 << 40,
-				HotGas:         1 << 60,
-				NaiveStart:     mode.naiveStart,
-			})
-			m := registerSum(t, rt, "sum")
-			payload := []byte{11, 22, 33, 44, 55}
-
-			invokeSum(t, rt, "sum", payload)
-			gasCheap := m.Stats().Gas
-			if gasCheap == 0 {
-				t.Fatal("cheap-rung invocation charged no gas")
-			}
-			// A second identical request on the same rung charges the same
-			// amount (sanity on the per-request delta).
-			invokeSum(t, rt, "sum", payload)
-			if got := m.Stats().Gas; got != 2*gasCheap {
-				t.Fatalf("second cheap invocation: profile gas %d, want %d", got, 2*gasCheap)
-			}
-
-			before := m.Stats().Gas
-			if err := rt.Promote("sum"); err != nil {
-				t.Fatalf("Promote: %v", err)
-			}
-			if got := m.Stats().Tier; got != engine.TierLabelFull {
-				t.Fatalf("tier after promote = %q", got)
-			}
-			// The swap itself must not touch the hotness profile.
-			if got := m.Stats().Gas; got != before {
-				t.Fatalf("promotion changed profile gas: %d -> %d", before, got)
-			}
-
-			invokeSum(t, rt, "sum", payload)
-			gasFull := m.Stats().Gas - before
-			if gasFull != gasCheap {
-				t.Fatalf("gas discontinuity across promotion: cheap rung charged %d, full rung charged %d",
-					gasCheap, gasFull)
-			}
+	t.Run("cheap-optimized", func(t *testing.T) {
+		rt := newTieringRuntime(t, TieringConfig{
+			HotInvocations: 1 << 40,
+			HotGas:         1 << 60,
 		})
-	}
+		m := registerSum(t, rt, "sum")
+		payload := []byte{11, 22, 33, 44, 55}
+
+		invokeSum(t, rt, "sum", payload)
+		gasCheap := m.Stats().Gas
+		if gasCheap == 0 {
+			t.Fatal("cheap-rung invocation charged no gas")
+		}
+		// A second identical request on the same rung charges the same
+		// amount (sanity on the per-request delta).
+		invokeSum(t, rt, "sum", payload)
+		if got := m.Stats().Gas; got != 2*gasCheap {
+			t.Fatalf("second cheap invocation: profile gas %d, want %d", got, 2*gasCheap)
+		}
+
+		before := m.Stats().Gas
+		if err := rt.Promote("sum"); err != nil {
+			t.Fatalf("Promote: %v", err)
+		}
+		if got := m.Stats().Tier; got != engine.TierLabelFull {
+			t.Fatalf("tier after promote = %q", got)
+		}
+		// The swap itself must not touch the hotness profile.
+		if got := m.Stats().Gas; got != before {
+			t.Fatalf("promotion changed profile gas: %d -> %d", before, got)
+		}
+
+		invokeSum(t, rt, "sum", payload)
+		gasFull := m.Stats().Gas - before
+		if gasFull != gasCheap {
+			t.Fatalf("gas discontinuity across promotion: cheap rung charged %d, full rung charged %d",
+				gasCheap, gasFull)
+		}
+	})
 }

@@ -8,15 +8,14 @@ import (
 )
 
 // calKey identifies one execution configuration for fuel calibration. Only
-// the dimensions that change gas throughput participate: the tier, the IR
-// form, and the metering mode (block-metered loops execute more gas per
+// the dimensions that change gas throughput participate: the tier and the
+// metering mode (block-metered loops execute more gas per
 // wall-millisecond than the per-dispatch-checked ablation). Bounds
 // strategies differ by a few percent on memory-heavy code but share the
 // dispatch loop, so they are not split (the quantum is a preemption bound,
 // not an accounting unit).
 type calKey struct {
 	tier         Tier
-	noRegalloc   bool
 	noBlockMeter bool
 }
 
@@ -29,33 +28,29 @@ var (
 // configuration in gas per millisecond. The scheduler multiplies this by
 // its quantum to convert the paper's time-slice (5 ms) into deterministic
 // fuel (fuel and gas share units: one fuel pays one gas of static charge).
-// The rate is a property of the execution configuration: register-form IR
-// executes the same source gas in less wall time than the stack-form loop,
-// and the naive tier is an order of magnitude slower than either — so
-// converting one shared rate through the quantum would hand different
-// configurations materially different wall-clock slices. Each
-// (tier, IR, metering mode) triple is measured separately and cached for
-// the process lifetime.
+// The rate is a property of the execution configuration: the naive tier is
+// an order of magnitude slower than the optimized tier, and per-dispatch
+// metering slower than block metering — so converting one shared rate
+// through the quantum would hand different configurations materially
+// different wall-clock slices. Each (tier, metering mode) pair is measured
+// separately and cached for the process lifetime.
 func CalibrateFuelRateFor(cfg Config) int64 {
-	key := calKey{tier: cfg.Tier, noRegalloc: cfg.NoRegalloc, noBlockMeter: cfg.NoBlockMeter}
+	key := calKey{tier: cfg.Tier, noBlockMeter: cfg.NoBlockMeter}
 	if key.tier == 0 {
 		key.tier = TierOptimized
-	}
-	if key.tier == TierNaive {
-		key.noRegalloc = false // the naive tier never runs the regalloc pass
 	}
 	calMu.Lock()
 	defer calMu.Unlock()
 	if rate, ok := calRates[key]; ok {
 		return rate
 	}
-	rate := measureFuelRate(Config{Tier: key.tier, NoRegalloc: key.noRegalloc, NoBlockMeter: key.noBlockMeter})
+	rate := measureFuelRate(Config{Tier: key.tier, NoBlockMeter: key.noBlockMeter})
 	calRates[key] = rate
 	return rate
 }
 
 // CalibrateFuelRate measures the default configuration (optimized tier,
-// register-form IR).
+// block metering).
 func CalibrateFuelRate() int64 {
 	return CalibrateFuelRateFor(Config{})
 }

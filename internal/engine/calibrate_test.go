@@ -45,16 +45,17 @@ func spinModule(t *testing.T, cfg Config) *CompiledModule {
 }
 
 // TestCalibrateFuelRatePerConfig pins the per-configuration calibration
-// surface: every (tier, IR form) pair yields a positive rate, repeat calls
-// hit the cache, and the naive tier normalizes away the regalloc flag (it
-// never runs the pass).
+// surface: every (tier, metering mode) pair yields a positive rate, repeat
+// calls hit the cache, and the analysis flag does not split the key — the
+// cheap tiering rung (NoAnalysis) runs the same register loop the default
+// configuration measures.
 func TestCalibrateFuelRatePerConfig(t *testing.T) {
 	cfgs := []Config{
-		{},                                  // optimized, register form
-		{NoRegalloc: true},                  // optimized, stack form
-		{Tier: TierNaive},                   // naive
-		{Tier: TierOptimized},               // explicit tier == default
-		{Tier: TierNaive, NoRegalloc: true}, // must fold onto naive
+		{},                    // optimized, block-metered
+		{NoBlockMeter: true},  // optimized, per-dispatch metering
+		{Tier: TierNaive},     // naive
+		{Tier: TierOptimized}, // explicit tier == default
+		{NoAnalysis: true},    // cheap rung: must fold onto the default
 	}
 	for _, cfg := range cfgs {
 		r1 := CalibrateFuelRateFor(cfg)
@@ -65,9 +66,9 @@ func TestCalibrateFuelRatePerConfig(t *testing.T) {
 			t.Errorf("%+v: calibration not cached: %d then %d", cfg, r1, r2)
 		}
 	}
-	if a, b := CalibrateFuelRateFor(Config{Tier: TierNaive}),
-		CalibrateFuelRateFor(Config{Tier: TierNaive, NoRegalloc: true}); a != b {
-		t.Errorf("naive tier rate split on the regalloc flag: %d vs %d", a, b)
+	if a, b := CalibrateFuelRateFor(Config{}),
+		CalibrateFuelRateFor(Config{NoAnalysis: true}); a != b {
+		t.Errorf("rate split on the analysis flag: %d vs %d", a, b)
 	}
 	if a, b := CalibrateFuelRateFor(Config{}),
 		CalibrateFuelRateFor(Config{Tier: TierOptimized}); a != b {
@@ -81,11 +82,10 @@ func TestCalibrateFuelRatePerConfig(t *testing.T) {
 // TestQuantumWallClockTolerance converts the paper's 5 ms quantum through
 // each configuration's calibrated rate and checks that burning that much
 // fuel actually takes on the order of 5 ms of wall clock — the property the
-// scheduler depends on for temporal isolation. Without per-IR calibration
-// the stack-form rate applied to register-form code (or vice versa) would
-// skew the slice by the speedup factor; the tolerance here is deliberately
-// loose (5x either way) so only a broken calibration, not scheduler-grade
-// jitter, fails the test.
+// scheduler depends on for temporal isolation. The cheap tiering rung shares
+// the default configuration's rate, so it is checked against that rate; the
+// tolerance here is deliberately loose (5x either way) so only a broken
+// calibration, not scheduler-grade jitter, fails the test.
 func TestQuantumWallClockTolerance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock measurement")
@@ -96,7 +96,7 @@ func TestQuantumWallClockTolerance(t *testing.T) {
 		cfg  Config
 	}{
 		{"register", Config{}},
-		{"stack", Config{NoRegalloc: true}},
+		{"cheap", Config{NoAnalysis: true}},
 	} {
 		rate := CalibrateFuelRateFor(tc.cfg)
 		fuel := rate * int64(quantum/time.Millisecond)

@@ -114,11 +114,6 @@ type Config struct {
 	// optimized tier. Used by the elision ablation benchmark and the
 	// differential fuzzer; the naive tier never runs analysis.
 	NoAnalysis bool
-	// NoRegalloc disables the register-allocation pass in the optimized
-	// tier: function bodies stay in stack-machine form and execute on the
-	// push/pop hot loop. Used by the regalloc ablation benchmark and the
-	// differential fuzzer; the naive tier never runs the pass.
-	NoRegalloc bool
 	// NoBlockMeter disables basic-block fuel metering and restores the
 	// per-instruction `steps--` check at every dispatch. Gas is still
 	// accumulated at charge points (so reported gas stays bit-identical to

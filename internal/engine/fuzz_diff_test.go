@@ -12,9 +12,10 @@ import (
 )
 
 // diffConfigs is the differential matrix: every explicit-check strategy
-// crossed with the IR axis — register form (the default), stack form
-// (NoRegalloc), both with analysis on and off, plus the naive tier as an
-// independent implementation of the same semantics — and each of those
+// crossed with the lowering axis — register form with analysis on (the
+// default) and off (the cheap tiering rung), register form without the
+// fusion peepholes, plus the naive tier as an independent implementation of
+// the same semantics — and each of those
 // crossed with both metering modes (block-metered and the per-instruction
 // NoBlockMeter oracle). BoundsNone is excluded by design — it only faults
 // beyond the backing array, so its trap set legitimately differs from the
@@ -28,9 +29,8 @@ func diffConfigs() []engine.Config {
 		for _, nbm := range []bool{false, true} {
 			cfgs = append(cfgs,
 				engine.Config{Bounds: b, Tier: engine.TierOptimized, NoBlockMeter: nbm},
-				engine.Config{Bounds: b, Tier: engine.TierOptimized, NoRegalloc: true, NoBlockMeter: nbm},
 				engine.Config{Bounds: b, Tier: engine.TierOptimized, NoAnalysis: true, NoBlockMeter: nbm},
-				engine.Config{Bounds: b, Tier: engine.TierOptimized, NoAnalysis: true, NoRegalloc: true, NoBlockMeter: nbm},
+				engine.Config{Bounds: b, Tier: engine.TierOptimized, NoFusion: true, NoBlockMeter: nbm},
 				engine.Config{Bounds: b, Tier: engine.TierNaive, NoBlockMeter: nbm},
 			)
 		}
@@ -53,8 +53,8 @@ func diffOutcome(t *testing.T, m *wasm.Module, cfg engine.Config, arg uint64) (s
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
-				t.Fatalf("%s/%s noanalysis=%v noregalloc=%v nbm=%v: host panic: %v",
-					cfg.Tier, cfg.Bounds, cfg.NoAnalysis, cfg.NoRegalloc, cfg.NoBlockMeter, r)
+				t.Fatalf("%s/%s noanalysis=%v nofusion=%v nbm=%v: host panic: %v",
+					cfg.Tier, cfg.Bounds, cfg.NoAnalysis, cfg.NoFusion, cfg.NoBlockMeter, r)
 			}
 		}()
 		inst := cm.Instantiate()
@@ -215,16 +215,16 @@ export i32 main(i32 x) {
 		}
 		for i, cfg := range cfgs[1:] {
 			if outs[i+1] != outs[0] {
-				t.Fatalf("divergence: %s/%s noanalysis=%v noregalloc=%v nbm=%v nosnap=%v = %q, reference %s/%s = %q",
-					cfg.Tier, cfg.Bounds, cfg.NoAnalysis, cfg.NoRegalloc, cfg.NoBlockMeter, cfg.NoSnapshot, outs[i+1],
+				t.Fatalf("divergence: %s/%s noanalysis=%v nofusion=%v nbm=%v nosnap=%v = %q, reference %s/%s = %q",
+					cfg.Tier, cfg.Bounds, cfg.NoAnalysis, cfg.NoFusion, cfg.NoBlockMeter, cfg.NoSnapshot, outs[i+1],
 					cfgs[0].Tier, cfgs[0].Bounds, outs[0])
 			}
 			// Gas is charged at static charge points on the source path, so
 			// every config that ran the path to the same outcome — traps
 			// included — must report bit-identical gas.
 			if outs[i+1] != "compile-error" && outs[i+1] != "start-error" && gases[i+1] != gases[0] {
-				t.Fatalf("gas divergence: %s/%s noanalysis=%v noregalloc=%v nbm=%v nosnap=%v charged %d, reference %s/%s charged %d (outcome %q)",
-					cfg.Tier, cfg.Bounds, cfg.NoAnalysis, cfg.NoRegalloc, cfg.NoBlockMeter, cfg.NoSnapshot, gases[i+1],
+				t.Fatalf("gas divergence: %s/%s noanalysis=%v nofusion=%v nbm=%v nosnap=%v charged %d, reference %s/%s charged %d (outcome %q)",
+					cfg.Tier, cfg.Bounds, cfg.NoAnalysis, cfg.NoFusion, cfg.NoBlockMeter, cfg.NoSnapshot, gases[i+1],
 					cfgs[0].Tier, cfgs[0].Bounds, gases[0], outs[0])
 			}
 		}

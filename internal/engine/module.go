@@ -232,9 +232,6 @@ type CompiledModule struct {
 	// analysisStats summarizes what the static analysis proved and what
 	// the lowerer did with it; exported via /__stats.
 	analysisStats AnalysisStats
-	// regForm is true when function bodies were rewritten to register form
-	// by the regalloc pass; such modules execute on runRegister.
-	regForm bool
 	// regallocStats summarizes the regalloc pass; exported via /__stats.
 	regallocStats RegallocStats
 	// typicalStack/typicalFrames are the pool-retention targets: the
@@ -299,7 +296,7 @@ type AnalysisStats struct {
 }
 
 // RegallocStats summarizes the register-allocation pass for one compiled
-// module. All zero when the pass is disabled (NoRegalloc or the naive tier).
+// module. All zero on the naive tier, which never runs the pass.
 type RegallocStats struct {
 	// Enabled reports whether the module runs in register form.
 	Enabled bool `json:"enabled"`
@@ -588,14 +585,13 @@ func Compile(m *wasm.Module, host HostRegistry, cfg Config) (*CompiledModule, er
 	// Runs after every function is lowered because the pass resolves call
 	// arities against cm.funcs/cm.hostFuncs when recomputing static stack
 	// heights.
-	if cfg.Tier == TierOptimized && !cfg.NoRegalloc {
+	if cfg.Tier == TierOptimized {
 		fuse := !cfg.NoFusion && cfg.PerInstrNops == 0
 		for i := range cm.funcs {
 			if err := regallocFunc(cm, &cm.funcs[i], fuse); err != nil {
 				return nil, fmt.Errorf("engine: regalloc func %d (%s): %w", i, cm.funcs[i].name, err)
 			}
 		}
-		cm.regForm = true
 		cm.regallocStats.Enabled = true
 		for i := range cm.funcs {
 			if r := cm.funcs[i].nLocals + cm.funcs[i].maxStack; r > cm.regallocStats.Registers {

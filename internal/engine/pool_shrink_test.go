@@ -40,7 +40,7 @@ func recModule(t *testing.T, cfg Config) *CompiledModule {
 // shrink back to the module's typical reservation, the shrunk instance is
 // hygienically zero, and it remains fully functional.
 func TestPoolShrinksOversizedSlabs(t *testing.T) {
-	for _, cfg := range []Config{{}, {NoRegalloc: true}, {Tier: TierNaive}} {
+	for _, cfg := range []Config{{}, {NoAnalysis: true}, {Tier: TierNaive}} {
 		cm := recModule(t, cfg)
 		if cm.typicalStack < 256 || cm.typicalFrames < 16 {
 			t.Fatalf("%s: retention floors missing: stack %d frames %d",

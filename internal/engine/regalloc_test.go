@@ -23,9 +23,8 @@ func hasOp(cm *CompiledModule, op uint16) bool {
 // TestRegallocRewrites pins the register-form peephole: the default config
 // must actually produce the three-address opcodes for their source idioms
 // (the counterpart of TestFusionEmitsSuperinstructions, which pins the
-// stack-form lowering under NoRegalloc). Each case also executes and checks
-// the result, so a rewrite that emits the opcode but computes the wrong
-// value still fails.
+// lowering peephole). Each case also executes and checks the result, so a
+// rewrite that emits the opcode but computes the wrong value still fails.
 func TestRegallocRewrites(t *testing.T) {
 	i32 := wasm.ValI32
 	cases := []struct {
@@ -193,7 +192,7 @@ func TestRegallocRewrites(t *testing.T) {
 	for _, tc := range cases {
 		m := buildModule(t, 0, tc.fn)
 		cm := mustCompile(t, m, Config{})
-		if !cm.regForm {
+		if !cm.regallocStats.Enabled {
 			t.Fatalf("%s: default config did not produce register form", tc.name)
 		}
 		if tc.wantNot {
@@ -209,13 +208,14 @@ func TestRegallocRewrites(t *testing.T) {
 		if got := invoke(t, cm, "f", tc.args...); got != tc.want {
 			t.Errorf("%s: got %#x, want %#x", tc.name, got, tc.want)
 		}
-		// The same program must also agree under NoRegalloc (stack form).
-		sm := mustCompile(t, buildModule(t, 0, tc.fn), Config{NoRegalloc: true})
-		if sm.regForm {
-			t.Fatalf("%s: NoRegalloc still produced register form", tc.name)
+		// The same program must also agree without the rewrites
+		// (NoFusion keeps register form but skips both peepholes).
+		um := mustCompile(t, buildModule(t, 0, tc.fn), Config{NoFusion: true})
+		if tc.wantOp != 0 && !tc.wantNot && hasOp(um, tc.wantOp) {
+			t.Errorf("%s: NoFusion still emitted register opcode %d", tc.name, tc.wantOp)
 		}
-		if got := invoke(t, sm, "f", tc.args...); got != tc.want {
-			t.Errorf("%s [stack form]: got %#x, want %#x", tc.name, got, tc.want)
+		if got := invoke(t, um, "f", tc.args...); got != tc.want {
+			t.Errorf("%s [unfused]: got %#x, want %#x", tc.name, got, tc.want)
 		}
 	}
 }
@@ -300,7 +300,7 @@ func TestRegisterSingleStepConformance(t *testing.T) {
 		m.Funcs = []wasm.Func{{TypeIdx: 0, Body: body, Name: "op"}}
 		m.Exports = []wasm.Export{{Name: "op", Kind: wasm.ExternFunc, Index: 0}}
 		cm := mustCompile(t, m, Config{NoFusion: true})
-		if !cm.regForm {
+		if !cm.regallocStats.Enabled {
 			t.Fatal("expected register form for the single-step sweep")
 		}
 
@@ -510,7 +510,7 @@ func preemptModule(t *testing.T, cfg Config) *CompiledModule {
 func TestRegisterPreemptEveryBoundaryProperty(t *testing.T) {
 	for _, cfg := range []Config{{}, {Bounds: BoundsSoftware}} {
 		cm := preemptModule(t, cfg)
-		if !cm.regForm {
+		if !cm.regallocStats.Enabled {
 			t.Fatal("expected register form")
 		}
 		check := func(n uint32, quantum uint8) bool {

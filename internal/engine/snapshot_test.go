@@ -107,15 +107,15 @@ func snapshotTestModule(t *testing.T) *wasm.Module {
 }
 
 // snapshotFidelityConfigs is the differential matrix for the snapshot axis:
-// register form, stack form (NoRegalloc), unanalyzed form, and the naive
-// tier, each crossed with every explicit bounds strategy. BoundsNone is
+// register form, unfused register form (NoFusion), unanalyzed form, and
+// the naive tier, each crossed with every explicit bounds strategy. BoundsNone is
 // excluded as in the fuzzer: its trap set legitimately differs.
 func snapshotFidelityConfigs() []Config {
 	var cfgs []Config
 	for _, b := range []BoundsStrategy{BoundsGuard, BoundsSoftware, BoundsSoftwareFused, BoundsMPX} {
 		cfgs = append(cfgs,
 			Config{Bounds: b, Tier: TierOptimized},
-			Config{Bounds: b, Tier: TierOptimized, NoRegalloc: true},
+			Config{Bounds: b, Tier: TierOptimized, NoFusion: true},
 			Config{Bounds: b, Tier: TierOptimized, NoAnalysis: true},
 			Config{Bounds: b, Tier: TierNaive},
 		)

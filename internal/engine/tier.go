@@ -3,11 +3,11 @@ package engine
 // Adaptive-tiering support: the two-rung compile ladder and the tier label.
 //
 // Registration under adaptive tiering compiles only the cheap rung — the
-// optimized tier with its expensive passes (static analysis, register
-// allocation) disabled, or the naive tier behind a knob — so a new module
-// can serve its first request without paying the full analysis/lowering
-// cost. A background promotion controller (internal/core) later recompiles
-// hot modules at the full rung and atomically swaps the CompiledModule.
+// optimized tier with its expensive static-analysis pass disabled — so a new
+// module can serve its first request without paying the full analysis cost.
+// Both rungs run the same preemptible register loop. A background promotion
+// controller (internal/core) later recompiles hot modules at the full rung
+// and atomically swaps the CompiledModule.
 
 // Ladder is the two-rung adaptive-tiering compile ladder derived from one
 // engine configuration: Cheap is the registration rung, Full the promotion
@@ -20,24 +20,24 @@ type Ladder struct {
 	Full  Config
 }
 
-// NewLadder derives the ladder from the full-tier configuration. naiveStart
-// selects TierNaive as the registration rung (decode+validate only, no
-// lowering at all) instead of the default: the optimized tier with
-// NoAnalysis and NoRegalloc set.
+// NewLadder derives the ladder from the full-tier configuration: the cheap
+// rung is the same configuration with NoAnalysis set. naiveStart selects
+// TierNaive as the cheap rung instead; that rung cannot be preempted, so it
+// exists only for engine-level comparisons — core.Runtime always passes
+// false and refuses naive-tier code.
 //
-// A configuration that is already naive-tier has nothing to promote to; its
-// ladder has Cheap == Full and the promotion controller leaves such modules
-// alone.
+// A configuration that is already naive-tier or unanalyzed has nothing to
+// promote to; its ladder has Cheap == Full and the promotion controller
+// leaves such modules alone.
 func NewLadder(full Config, naiveStart bool) Ladder {
 	full = full.withDefaults()
 	cheap := full
-	if full.Tier != TierNaive {
-		if naiveStart {
-			cheap.Tier = TierNaive
-		} else {
-			cheap.NoAnalysis = true
-			cheap.NoRegalloc = true
-		}
+	switch {
+	case full.Tier == TierNaive:
+	case naiveStart:
+		cheap.Tier = TierNaive
+	default:
+		cheap.NoAnalysis = true
 	}
 	return Ladder{Cheap: cheap, Full: full}
 }
@@ -52,24 +52,16 @@ const (
 	TierLabelFull  = "full"
 )
 
-// Preemptible reports whether instances of this module can be suspended at
-// an instruction boundary and resumed later. The naive rung's recursive
-// interpreter has no reified continuation: exhausting its fuel budget traps
-// instead of yielding, so a scheduler must run naive instances unpreempted
-// (fuel <= 0) rather than quantum-bounded.
-func (cm *CompiledModule) Preemptible() bool { return cm.cfg.Tier != TierNaive }
-
 // TierLabel names the rung of the tier ladder this module was compiled at:
-// "naive" (structured interpreter), "cheap" (optimized lowering without
-// analysis or register allocation), or "full" (the fused + check-elided +
-// register-allocated form).
+// "naive" (structured interpreter), "cheap" (register form without static
+// analysis), or "full" (the fused + check-elided register form).
 func (cm *CompiledModule) TierLabel() string {
 	switch {
 	case cm.cfg.Tier == TierNaive:
 		return TierLabelNaive
-	case cm.regForm && !cm.cfg.NoAnalysis:
-		return TierLabelFull
-	default:
+	case cm.cfg.NoAnalysis:
 		return TierLabelCheap
+	default:
+		return TierLabelFull
 	}
 }

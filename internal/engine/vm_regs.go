@@ -10,18 +10,26 @@ import (
 	"sledge/internal/wasm"
 )
 
-// runRegister is the hot loop for register-form modules (see regalloc.go).
-// It executes the same slab layout as runOptimized — locals at
-// stack[base:base+nLocals], operands above — but every operand index is
-// computed from the instruction's static height (bh + ci.h - k, where bh is
-// the frame's base+nLocals), so the loop carries no sp at all: no push/pop
+func (in *Instance) run(fuel int64) (Status, error) {
+	if in.mod.cfg.Tier == TierNaive {
+		return in.runNaive(fuel)
+	}
+	return in.runRegister(fuel)
+}
+
+// runRegister is the hot loop of the optimized tier, whose bodies are
+// always in register form (see regalloc.go): a flat, pre-resolved
+// instruction stream over the frame slab — locals at
+// stack[base:base+nLocals], operands above. Every operand index is computed
+// from the instruction's static height (bh + ci.h - k, where bh is the
+// frame's base+nLocals), so the loop carries no sp at all: no push/pop
 // bookkeeping and no serial sp dependency chain between dispatches.
 //
-// Resumability is preserved at every instruction boundary: the registers
-// live in the same slab save() snapshots, and whenever control leaves the
-// loop (yield, host block, done, trap) the static height of the resume
-// point is materialized back into Instance.sp so ResumeHost and Result()
-// see exactly what the stack-form loop would have stored.
+// The loop is resumable at every instruction boundary, which is what
+// enables the scheduler's user-level preemption: the registers live in the
+// slab save() snapshots, and whenever control leaves the loop (yield, host
+// block, done, trap) the static height of the resume point is materialized
+// back into Instance.sp so ResumeHost and Result() see a consistent stack.
 //
 //sledge:noalloc
 func (in *Instance) runRegister(fuel int64) (st Status, err error) {
@@ -37,18 +45,28 @@ func (in *Instance) runRegister(fuel int64) (st Status, err error) {
 	explicit := in.mod.explicitChecks
 	globals := in.globals
 	maxDepth := in.mod.cfg.MaxCallDepth
+	// certified is set when this run entered through a stack-certified
+	// entry point: the worst-case frame count and operand-stack size were
+	// proven at compile time and reserved up front, so the per-call growth
+	// and depth probes below are skipped.
 	certified := in.certified
 
+	// dirty is the store high-water mark feeding the recycling reset; kept
+	// in a register-friendly local and folded back in save().
 	dirty := in.memDirty
 
 	steps := fuel
 	if fuel <= 0 {
 		steps = int64(1) << 62
 	}
-	// See runOptimized: block-metered mode consumes fuel only at
-	// iGasCharge; perInstr restores the per-dispatch check as the
-	// ablation/oracle mode. Gas accrues at charge points either way.
+	// perInstr selects the ablation/oracle metering mode: a fuel check on
+	// every dispatch. In the default block-metered mode fuel is consumed
+	// only at iGasCharge, so the loop top carries no check at all — every
+	// CFG cycle passes a loop-header charge and MaxUncharged bounds
+	// straight-line runs, which together bound the work between checks.
 	perInstr := in.mod.cfg.NoBlockMeter
+	// gasRun accumulates charge-point gas for this run slice; folded into
+	// in.Gas by save() so it is identical in both metering modes.
 	var gasRun uint64
 
 	save := func(sp int) {
@@ -62,6 +80,9 @@ func (in *Instance) runRegister(fuel int64) (st Status, err error) {
 		gasRun = 0
 	}
 
+	// The guard strategy relies on the backing array's implicit bound:
+	// an out-of-range access faults here and is converted to a trap,
+	// exactly as the paper's virtual-memory scheme converts a page fault.
 	defer func() {
 		if r := recover(); r != nil {
 			rte, ok := r.(runtime.Error)
@@ -228,7 +249,10 @@ func (in *Instance) runRegister(fuel int64) (st Status, err error) {
 		case iCallIndirect:
 			hp := bh + int(ci.h)
 			idx := uint64(uint32(stack[hp-1]))
-			// Monomorphic inline-cache fast path; see runOptimized.
+			// Monomorphic inline-cache fast path (imm>>16 is the site's IC
+			// slot): dispatching the same table index as last time implies
+			// the bounds, null, and CFI type checks all pass — the table is
+			// immutable — so jump straight to the resolved callee.
 			if e := &in.ic[ci.imm>>16]; e.callee != nil && e.key == int32(idx) {
 				callee := e.callee
 				base := hp - 1 - callee.nParams
@@ -1328,4 +1352,62 @@ func (in *Instance) runRegister(fuel int64) (st Status, err error) {
 			return fail(TrapUnreachable, bh)
 		}
 	}
+}
+
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+func f32(v uint64) float32  { return math.Float32frombits(uint32(v)) }
+func u32f(v float32) uint64 { return uint64(math.Float32bits(v)) }
+func f64(v uint64) float64  { return math.Float64frombits(v) }
+func uf64(v float64) uint64 { return math.Float64bits(v) }
+
+func truncS32(f float64) (uint64, TrapCode) {
+	if math.IsNaN(f) {
+		return 0, TrapInvalidConversion
+	}
+	t := math.Trunc(f)
+	if t < math.MinInt32 || t > math.MaxInt32 {
+		return 0, TrapIntOverflow
+	}
+	return uint64(uint32(int32(t))), 0
+}
+
+func truncU32(f float64) (uint64, TrapCode) {
+	if math.IsNaN(f) {
+		return 0, TrapInvalidConversion
+	}
+	t := math.Trunc(f)
+	if t < 0 || t > math.MaxUint32 {
+		return 0, TrapIntOverflow
+	}
+	return uint64(uint32(t)), 0
+}
+
+func truncS64(f float64) (uint64, TrapCode) {
+	if math.IsNaN(f) {
+		return 0, TrapInvalidConversion
+	}
+	t := math.Trunc(f)
+	// 2^63-1 is not representable in float64; the constant rounds up to
+	// 2^63, which is exactly the first overflowing value.
+	if t < math.MinInt64 || t >= math.MaxInt64 {
+		return 0, TrapIntOverflow
+	}
+	return uint64(int64(t)), 0
+}
+
+func truncU64(f float64) (uint64, TrapCode) {
+	if math.IsNaN(f) {
+		return 0, TrapInvalidConversion
+	}
+	t := math.Trunc(f)
+	if t < 0 || t >= math.MaxUint64 {
+		return 0, TrapIntOverflow
+	}
+	return uint64(t), 0
 }

@@ -105,7 +105,6 @@ var Registry = map[string]func(Options) ([]*Table, error){
 	"cpubound": RunCPUBound,
 	"overload": RunOverload,
 	"cluster":  RunContinuum,
-	"regalloc": RunRegallocAblation,
 	"meter":    RunMeterAblation,
 	"sched":    RunSchedBench,
 	"tierup":   RunTierup,
@@ -128,5 +127,5 @@ var Registry = map[string]func(Options) ([]*Table, error){
 
 // IDs lists experiment IDs in paper order.
 func IDs() []string {
-	return []string{"fig5", "table1", "fig6", "fig7", "fig8", "table2", "table3", "memfoot", "cpubound", "overload", "cluster", "regalloc", "meter", "sched", "tierup", "warm", "chain", "ablation"}
+	return []string{"fig5", "table1", "fig6", "fig7", "fig8", "table2", "table3", "memfoot", "cpubound", "overload", "cluster", "meter", "sched", "tierup", "warm", "chain", "ablation"}
 }

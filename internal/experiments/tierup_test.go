@@ -8,10 +8,10 @@ import (
 // TestTierupSmoke runs the adaptive-tiering benchmark end-to-end at quick
 // sizes: both halves must complete, every response must match (the zipf
 // driver verifies each reply against the pre-swap answer internally), and
-// the qualitative ordering must hold — the cheap rungs register strictly
+// the qualitative ordering must hold — the cheap rung registers strictly
 // faster than the static full pipeline. The acceptance-grade numbers
-// (>= 5x registration, >= 0.95 steady ratio) come from `make bench-tierup`
-// at full sizes.
+// (storm p50 against the recorded baseline, >= 0.95 steady ratio) come from
+// `make bench-tierup` at full sizes.
 func TestTierupSmoke(t *testing.T) {
 	var snap tierupSnapshot
 	tables, err := runTierup(Options{Quick: true}, &snap)
@@ -29,17 +29,14 @@ func TestTierupSmoke(t *testing.T) {
 		tbl.Render(&buf)
 		t.Logf("\n%s", buf.String())
 	}
-	if len(snap.Storm.Modes) != 3 {
-		t.Fatalf("storm ran %d modes, want 3", len(snap.Storm.Modes))
+	if len(snap.Storm.Modes) != 2 {
+		t.Fatalf("storm ran %d modes, want 2", len(snap.Storm.Modes))
 	}
 	if snap.Storm.SpeedupCheapVsFull <= 1 {
 		t.Errorf("cheap-rung registration not faster than static-full: %.2fx", snap.Storm.SpeedupCheapVsFull)
 	}
-	if snap.Storm.SpeedupNaiveVsFull <= 1 {
-		t.Errorf("naive-rung registration not faster than static-full: %.2fx", snap.Storm.SpeedupNaiveVsFull)
-	}
-	if len(snap.Zipf.Modes) != 4 {
-		t.Fatalf("zipf ran %d modes, want 4", len(snap.Zipf.Modes))
+	if len(snap.Zipf.Modes) != 3 {
+		t.Fatalf("zipf ran %d modes, want 3", len(snap.Zipf.Modes))
 	}
 	for _, m := range snap.Zipf.Modes {
 		if m.Requests == 0 {

@@ -102,9 +102,17 @@ type Server struct {
 // conn503 is the canned response for connections shed at accept time.
 const conn503 = "HTTP/1.1 503 Service Unavailable\r\nContent-Length: 0\r\nRetry-After: 1\r\nConnection: close\r\n\r\n"
 
-// Serve accepts connections until the listener is closed.
+// Serve accepts connections until the listener is closed. If Close or
+// Drain already ran, it closes l and returns nil at once.
 func (s *Server) Serve(l net.Listener) error {
 	s.mu.Lock()
+	// Close and Drain set closed before taking mu, so either they observe
+	// the listener stored below and close it, or this check observes them.
+	if s.closed.Load() {
+		s.mu.Unlock()
+		l.Close()
+		return nil
+	}
 	s.listener = l
 	if s.conns == nil {
 		s.conns = make(map[net.Conn]*connState)

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestReadRequestBasic(t *testing.T) {
@@ -214,5 +215,41 @@ func TestLargeBodyRoundTrip(t *testing.T) {
 	body, _ := io.ReadAll(resp.Body)
 	if !bytes.Equal(body, payload) {
 		t.Errorf("1 MiB body mangled: got %d bytes", len(body))
+	}
+}
+
+// TestServeAfterShutdownReturns: a Serve that starts after Close or Drain
+// must close its listener and return at once instead of blocking in
+// Accept on a server that will never be shut down again.
+func TestServeAfterShutdownReturns(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		shutdown func(*Server)
+	}{
+		{"close", func(s *Server) { s.Close() }},
+		{"drain", func(s *Server) { s.Drain(time.Second) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := &Server{Handler: func(*Request) Response { return Response{Status: 200} }}
+			tc.shutdown(s)
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan error, 1)
+			go func() { done <- s.Serve(ln) }()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Errorf("Serve after %s = %v, want nil", tc.name, err)
+				}
+			case <-time.After(5 * time.Second):
+				ln.Close()
+				t.Fatalf("Serve blocked after %s", tc.name)
+			}
+			if _, err := ln.Accept(); err == nil {
+				t.Error("listener still open after Serve returned")
+			}
+		})
 	}
 }

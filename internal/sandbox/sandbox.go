@@ -89,8 +89,10 @@ type Sandbox struct {
 	// Err records the trap or start failure for completed sandboxes.
 	Err error
 
-	// OnComplete, if set, runs on the worker when the sandbox finishes
-	// (successfully or trapped). It must not block.
+	// OnComplete, if set, runs on the worker when FinishNotify publishes
+	// the sandbox's completion (successful, trapped, or failed) — after the
+	// scheduler has counted the outcome, so a callback that reads pool
+	// stats sees its own request accounted for. It must not block.
 	OnComplete func(*Sandbox)
 
 	// pending is the in-flight async host operation while blocked.
@@ -254,17 +256,12 @@ func (sb *Sandbox) ExitCode() (int32, error) {
 // and billing-grade stats.
 func (sb *Sandbox) Gas() uint64 { return sb.inst.Gas }
 
-// Preemptible reports whether the sandbox can be quantum-bounded and
-// resumed. Naive-tier instances cannot (their interpreter traps on fuel
-// exhaustion instead of yielding); the scheduler runs them unpreempted.
-func (sb *Sandbox) Preemptible() bool { return sb.inst.Module().Preemptible() }
-
 // ErrNotRunnable reports a RunQuantum call in the wrong state.
 var ErrNotRunnable = errors.New("sandbox: not runnable")
 
 // RunQuantum resumes the sandbox for at most fuel instructions (fuel <= 0
-// runs unpreempted). It returns the resulting state. On completion or trap
-// the OnComplete callback fires exactly once.
+// runs unpreempted). It returns the resulting state; on completion or trap
+// the caller publishes the outcome with FinishNotify.
 func (sb *Sandbox) RunQuantum(fuel int64) State {
 	if State(sb.state.Load()) != StateRunnable {
 		return sb.State()
@@ -314,9 +311,6 @@ func (sb *Sandbox) RunQuantum(fuel int64) State {
 }
 
 func (sb *Sandbox) complete() {
-	if sb.OnComplete != nil {
-		sb.OnComplete(sb)
-	}
 	if sb.noRecycle {
 		// Teardown nils the linear memory, so a declared output region
 		// must be materialized into the Response buffer first to stay
@@ -354,11 +348,17 @@ func (sb *Sandbox) Abandon() bool {
 // checks this before spending a quantum on it.
 func (sb *Sandbox) Abandoned() bool { return sb.rel.Load() == relAbandoned }
 
-// FinishNotify publishes the sandbox's completion to its waiter. The
-// scheduler calls it exactly once, after all other touches of the sandbox —
-// for an abandoned sandbox this recycles it, after which the worker must not
-// use sb again.
+// FinishNotify publishes the sandbox's completion: it runs the OnComplete
+// callback, then signals Done to the waiter. The scheduler calls it exactly
+// once, after it has counted the outcome and after all other touches of the
+// sandbox — for an abandoned sandbox this recycles it, after which the
+// worker must not use sb again.
 func (sb *Sandbox) FinishNotify() {
+	// The callback runs before the ownership handoff: once Done is
+	// signalled the waiter may Release (and recycle) the sandbox.
+	if sb.OnComplete != nil {
+		sb.OnComplete(sb)
+	}
 	if sb.rel.CompareAndSwap(relLive, relFinished) {
 		select {
 		case sb.done <- struct{}{}:
@@ -429,8 +429,9 @@ func (sb *Sandbox) Latency() time.Duration {
 }
 
 // Fail force-completes the sandbox with an error (used by the scheduler
-// when a blocked completion cannot be delivered). The OnComplete callback
-// still fires so waiters are released.
+// when a blocked completion cannot be delivered, on abandon, and on Stop).
+// The caller then publishes it with FinishNotify, which still fires
+// OnComplete so waiters are released.
 func (sb *Sandbox) Fail(err error) {
 	if s := State(sb.state.Load()); s == StateComplete || s == StateTrapped {
 		return

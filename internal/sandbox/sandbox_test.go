@@ -47,6 +47,10 @@ func TestLifecycleComplete(t *testing.T) {
 	if st := sb.RunQuantum(0); st != StateComplete {
 		t.Fatalf("RunQuantum = %s (err %v)", st, sb.Err)
 	}
+	if completed != nil {
+		t.Error("OnComplete fired before FinishNotify")
+	}
+	sb.FinishNotify()
 	if completed != sb {
 		t.Error("OnComplete not fired with the sandbox")
 	}
@@ -119,6 +123,7 @@ export i32 main() {
 	if st := sb.RunQuantum(0); st != StateTrapped {
 		t.Fatalf("state %s", st)
 	}
+	sb.FinishNotify()
 	if !fired {
 		t.Error("OnComplete not fired on trap")
 	}
@@ -185,6 +190,7 @@ func TestFailReleasesWaiter(t *testing.T) {
 		t.Errorf("state %s err %v", sb.State(), sb.Err)
 	}
 	sb.Fail(sentinel) // idempotent
+	sb.FinishNotify()
 	if fired != 1 {
 		t.Errorf("OnComplete fired %d times", fired)
 	}

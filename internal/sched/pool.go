@@ -282,7 +282,8 @@ func NewPool(cfg Config) *Pool {
 var ErrStopped = errors.New("sched: pool stopped")
 
 // Submit hands a sandbox to the pool. The sandbox's OnComplete callback
-// fires on a worker when it finishes.
+// fires on a worker when it finishes, after the pool's counters (Stats)
+// include its outcome.
 func (p *Pool) Submit(sb *sandbox.Sandbox) error {
 	if p.stopped.Load() {
 		return ErrStopped
@@ -639,13 +640,7 @@ func (w *worker) loop() {
 		prevPre := sb.Preemptions
 		sb.LastWorker.Store(int32(w.id))
 		w.running.Store(1)
-		fuel := p.fuelQuantum
-		if fuel > 0 && !sb.Preemptible() {
-			// The naive rung traps on fuel exhaustion instead of yielding;
-			// run it unpreempted rather than killing long requests.
-			fuel = 0
-		}
-		st := sb.RunQuantum(fuel)
+		st := sb.RunQuantum(p.fuelQuantum)
 		w.running.Store(0)
 		switch st {
 		case sandbox.StateRunnable:
