@@ -6,7 +6,8 @@ GO ?= go
 # analyzers: noalloc hot-path enforcement, mutex-copy and lock-ordering,
 # atomicfield mixed atomic/plain access detection), a
 # full build, the race detector over the concurrency-sensitive packages
-# (recycling, scheduler, admission control, HTTP drain), a short
+# (recycling, scheduler, admission control, HTTP drain) plus a ten-round
+# race stress of the executor's shared timeout/abandon path, a short
 # churn-benchmark smoke run (allocs/op regressions show up immediately in
 # its -benchmem output), an overload smoke run (admission at 2x capacity
 # must shed cleanly: admitted error rate < 1%), a scheduler scale-out smoke
@@ -36,6 +37,7 @@ test-race:
 	$(GO) test -race ./internal/sandbox/... ./internal/sched/... ./internal/core/... \
 		./internal/admission/... ./internal/httpd/... ./internal/cluster/... ./internal/stats/...
 	$(GO) test -race -run 'TestPool' ./internal/engine/
+	$(GO) test -race -count=10 -run 'Timeout|Abandon|Pipeline' ./internal/core/
 
 bench-smoke:
 	$(GO) test -run=NONE -bench=Churn -benchtime=100x -benchmem .

@@ -2,13 +2,9 @@ package cluster
 
 import (
 	"encoding/json"
-	"errors"
 	"net"
-	"strconv"
-	"strings"
 	"time"
 
-	"sledge/internal/admission"
 	"sledge/internal/core"
 	"sledge/internal/httpd"
 )
@@ -78,42 +74,20 @@ func (r *Router) Stats() Snapshot {
 	return snap
 }
 
-// Handler returns the cluster front end: module invocation on /<name> with
-// the same deadline header the single-node listener honours, plus the
-// router's own stats at /__cluster. Rejections surface exactly as a node
-// would surface them — status, Retry-After, reason — so a client cannot
-// tell a cluster from one big node, except that far fewer requests shed.
+// Handler returns the cluster front end: module and pipeline invocation on
+// /<name> parsed and answered by the node's own helpers
+// (core.ParseInvocation, core.InvokeResponse), plus the router's own stats
+// at /__cluster. Errors and rejections surface exactly as a node would
+// surface them — status, Retry-After, reason — so a client cannot tell a
+// cluster from one big node, except that far fewer requests shed.
 func (r *Router) Handler() httpd.Handler {
 	return func(req *httpd.Request) httpd.Response {
-		name := strings.TrimPrefix(req.Path, "/")
-		if i := strings.IndexByte(name, '?'); i >= 0 {
-			name = name[:i]
-		}
+		name, deadline := core.ParseInvocation(req)
 		if name == "__cluster" {
 			return r.statsResponse()
 		}
-		var deadline time.Duration
-		if v := req.Header[core.DeadlineHeader]; v != "" {
-			if ms, err := strconv.Atoi(v); err == nil && ms > 0 {
-				deadline = time.Duration(ms) * time.Millisecond
-			}
-		}
 		body, err := r.InvokeWithDeadline(name, req.Body, deadline)
-		var rej *admission.Rejection
-		switch {
-		case errors.Is(err, core.ErrNoModule):
-			return httpd.Response{Status: 404, Body: []byte(err.Error() + "\n")}
-		case errors.As(err, &rej):
-			return httpd.Response{
-				Status:      rej.Status,
-				RetryAfter:  rej.RetryAfter,
-				ContentType: "text/plain",
-				Body:        []byte(rej.Reason + "\n"),
-			}
-		case err != nil:
-			return httpd.Response{Status: 500, Body: []byte(err.Error() + "\n")}
-		}
-		return httpd.Response{Status: 200, Body: body}
+		return core.InvokeResponse(body, err)
 	}
 }
 

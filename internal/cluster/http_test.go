@@ -11,6 +11,8 @@ import (
 	"time"
 
 	"sledge/internal/admission"
+	"sledge/internal/core"
+	"sledge/internal/wcc"
 	"sledge/internal/workloads/apps"
 )
 
@@ -86,6 +88,35 @@ func TestHTTPFrontEnd(t *testing.T) {
 	}
 	if snap.Routed < 2 || snap.Offloads < 1 || len(snap.Nodes) != 2 {
 		t.Fatalf("cluster snapshot = %+v", snap)
+	}
+}
+
+// TestHTTPHandoffTooLarge: an oversized sledge.output declaration answers
+// 413 through the cluster front end, exactly as it does on the node.
+func TestHTTPHandoffTooLarge(t *testing.T) {
+	r := newTestRouter(t, Config{})
+	rt := core.New(core.Config{Workers: 1, MaxHandoffBytes: 4096})
+	t.Cleanup(func() { rt.Close() })
+	if _, err := rt.RegisterWCC("bigmouth", `
+export i32 main() {
+	u8* out = alloc(8192);
+	sys_output(out, 8192);
+	return 0;
+}
+`, wcc.Options{HeapBytes: 1 << 20}); err != nil {
+		t.Fatalf("RegisterWCC: %v", err)
+	}
+	register(t, r, NodeConfig{Name: "edge0", Runtime: rt})
+	url := serveRouter(t, r)
+	client := &http.Client{Timeout: 10 * time.Second}
+	resp, err := client.Post(url+"/bigmouth", "application/octet-stream", nil)
+	if err != nil {
+		t.Fatalf("POST /bigmouth: %v", err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != 413 {
+		t.Fatalf("oversized handoff status = %d (%q), want 413", resp.StatusCode, body)
 	}
 }
 

@@ -28,7 +28,8 @@ type ModuleHealth struct {
 	// Breaker is the module's circuit state ("closed", "open",
 	// "half-open"); empty when the node runs without admission control.
 	Breaker string `json:"breaker,omitempty"`
-	// Tier labels the installed compiled form ("naive", "cheap", "full").
+	// Tier labels the installed compiled form ("cheap", "full"), or "cold"
+	// when the bounded cache evicted it.
 	Tier string `json:"tier"`
 }
 

@@ -172,60 +172,6 @@ func (rt *Runtime) Pipelines() []string {
 	return out
 }
 
-// InvokePipeline executes the named chain end-to-end, bypassing HTTP.
-func (rt *Runtime) InvokePipeline(name string, req []byte) ([]byte, error) {
-	return rt.InvokePipelineWithDeadline(name, req, 0)
-}
-
-// InvokePipelineWithDeadline is InvokePipeline with an explicit deadline:
-// one admission ticket and one deadline cover the whole chain. The deadline
-// gates initial admission (whole-chain estimate vs queueing delay) and then
-// sheds later stages against the remaining budget as earlier stages consume
-// it.
-func (rt *Runtime) InvokePipelineWithDeadline(name string, req []byte, deadline time.Duration) ([]byte, error) {
-	p, ok := rt.LookupPipeline(name)
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNoPipeline, name)
-	}
-	if rt.adm == nil {
-		out, _, _, err := rt.runPipeline(p, req, deadline)
-		return out, err
-	}
-	tenant := p.Tenant
-	if tenant == "" {
-		tenant = "default"
-	}
-	ticket, rej := rt.adm.Admit(tenant, PipelinePrefix+p.Name, deadline)
-	if rej != nil {
-		return nil, fmt.Errorf("core: %s%s: %w", PipelinePrefix, name, rej)
-	}
-	if deadline <= 0 {
-		// The controller admitted against its default deadline; thread the
-		// same budget through the mid-chain shed checks.
-		deadline = rt.admDefaultDeadline
-	}
-	out, lat, outcome, err := rt.runPipeline(p, req, deadline)
-	ticket.Done(outcome, lat)
-	return out, err
-}
-
-// stageModule resolves one stage to its module and installed compiled form,
-// reviving cold modules exactly like a direct invoke.
-func (rt *Runtime) stageModule(name string) (*Module, *engine.CompiledModule, error) {
-	m, ok := rt.Lookup(name)
-	if !ok {
-		return nil, nil, fmt.Errorf("%w: %s", ErrNoModule, name)
-	}
-	cm := m.Compiled()
-	if cm == nil {
-		var err error
-		if cm, err = rt.revive(m); err != nil {
-			return nil, nil, err
-		}
-	}
-	return m, cm, nil
-}
-
 // stageEstimate is the expected service time of one stage for the remaining-
 // budget shed decision: the admission controller's live per-module EWMA when
 // it has samples, else the module's tier-epoch mean.
@@ -238,11 +184,11 @@ func (rt *Runtime) stageEstimate(m *Module) time.Duration {
 	return m.seedLatency()
 }
 
-// handoff resolves a completed stage's result for the next stage: the
-// declared output region (aliasing the stage's linear memory) or the
-// Response buffer. On the steady-state path this allocates nothing — the
-// slice aliases memory owned by the sandbox, which the executor keeps alive
-// until the consumer finishes.
+// handoff resolves a completed stage's result — the next stage's request,
+// or the reply after the last stage: the declared output region (aliasing
+// the stage's linear memory) or the Response buffer. On the steady-state
+// path this allocates nothing — the slice aliases memory owned by the
+// sandbox, which the executor keeps alive until the consumer finishes.
 //
 //sledge:noalloc
 func handoff(sb *sandbox.Sandbox) ([]byte, bool, error) {
@@ -262,195 +208,6 @@ func (p *Pipeline) recordHandoff(declared bool, n int) {
 	p.handoffBytes.Add(uint64(n))
 }
 
-// runPipeline executes one admitted chain: for each stage, shed against the
-// remaining deadline budget, run the stage (with affinity for the previous
-// stage's worker), resolve its result region, and hand it to the next stage
-// as the request. The previous stage's sandbox is kept alive — not released
-// to the pool — until the consumer finishes, so the aliased handoff buffer
-// stays valid; at most two stages' instances are held at once, plus one
-// prefetched instance for the stage after.
-func (rt *Runtime) runPipeline(p *Pipeline, req []byte, deadline time.Duration) (out []byte, lat time.Duration, outcome admission.Outcome, err error) {
-	start := time.Now()
-	timer, _ := rt.timers.Get().(*time.Timer)
-	if timer == nil {
-		timer = time.NewTimer(rt.cfg.RequestTimeout)
-	} else {
-		timer.Reset(rt.cfg.RequestTimeout)
-	}
-
-	input := req
-	var prev *sandbox.Sandbox // completed producer of input, held for its memory
-	var totalGas uint64
-	affinity := int32(-1)
-
-	// Prefetched instance for the next stage (acquired while the current
-	// stage runs, consumed by the next iteration). Error paths funnel
-	// through chainCleanup — a plain method call, not a defer or closure,
-	// so the steady-state success path stays allocation-free.
-	var nextM *Module
-	var nextCM *engine.CompiledModule
-	var nextInst *engine.Instance
-
-	n := len(p.stages)
-	for i := 0; i < n; i++ {
-		var m *Module
-		var cm *engine.CompiledModule
-		var inst *engine.Instance
-		if nextInst != nil {
-			m, cm, inst = nextM, nextCM, nextInst
-			nextInst = nil
-		} else if m, cm, err = rt.stageModule(p.stages[i]); err != nil {
-			rt.chainCleanup(p, timer, prev, nextCM, nextInst)
-			return nil, time.Since(start), admission.OutcomeTrap, err
-		}
-
-		// Satellite fix: shed later stages against the *remaining* budget.
-		// The original deadline was fully consumed by admission's queueing
-		// check; by stage i the chain has already spent time.Since(start)
-		// of it, so comparing the stage estimate to the full deadline would
-		// happily start a stage that cannot finish in time.
-		if i > 0 && deadline > 0 {
-			remaining := deadline - time.Since(start)
-			if est := rt.stageEstimate(m); remaining <= 0 || est > remaining {
-				if inst != nil {
-					cm.Release(inst)
-				}
-				rt.chainCleanup(nil, timer, prev, nil, nil)
-				p.sheds.Add(1)
-				return nil, time.Since(start), admission.OutcomeTimeout,
-					fmt.Errorf("core: %s%s: stage %s: %w", PipelinePrefix, p.Name, m.Name,
-						&admission.Rejection{
-							Status:     503,
-							RetryAfter: retryHint(est),
-							Reason:     admission.ReasonDeadlineShed,
-						})
-			}
-		}
-
-		sb, serr := sandbox.New(cm, input, sandbox.Options{
-			Entry:           m.Entry,
-			KV:              rt.cfg.KV,
-			Tenant:          m.Tenant,
-			NoRecycle:       rt.cfg.NoRecycle,
-			Instance:        inst,
-			MaxHandoffBytes: rt.cfg.MaxHandoffBytes,
-		})
-		if serr != nil {
-			rt.chainCleanup(p, timer, prev, nextCM, nextInst)
-			return nil, time.Since(start), admission.OutcomeTrap, serr
-		}
-		// Continuations chase the previous stage's worker: the handoff
-		// buffer it just produced is hot in that core's cache. Stage 0 has
-		// no producer and balances normally.
-		if affinity >= 0 {
-			serr = rt.pool.SubmitAffine(sb, int(affinity))
-		} else {
-			serr = rt.pool.Submit(sb)
-		}
-		if serr != nil {
-			rt.chainCleanup(p, timer, prev, nextCM, nextInst)
-			return nil, time.Since(start), admission.OutcomeTrap, serr
-		}
-
-		// Overlap the next stage's instance acquisition with this stage's
-		// execution: by the time the stage completes, the consumer's linear
-		// memory is already reset and waiting. Skipped in NoRecycle mode
-		// (nothing pooled to prefetch).
-		if i+1 < n && !rt.cfg.NoRecycle {
-			if nm, ncm, perr := rt.stageModule(p.stages[i+1]); perr == nil {
-				nextM, nextCM = nm, ncm
-				nextInst = ncm.Acquire()
-			}
-		}
-
-		select {
-		case <-sb.Done():
-		case <-timer.C:
-			if sb.Abandon() {
-				rt.timers.Put(timer) // token consumed; channel known empty
-				rt.abandoned.Add(1)
-				m.failures.Add(1)
-				rt.chainCleanup(p, nil, prev, nextCM, nextInst)
-				return nil, rt.cfg.RequestTimeout, admission.OutcomeTimeout,
-					fmt.Errorf("core: %s%s: stage %s: request timed out after %v",
-						PipelinePrefix, p.Name, m.Name, rt.cfg.RequestTimeout)
-			}
-			// Lost the race: the stage finished first. The token is
-			// consumed, so the timer can re-arm for the remaining stages.
-			<-sb.Done()
-			timer.Reset(rt.cfg.RequestTimeout)
-		}
-
-		stageLat := sb.Latency()
-		totalGas += sb.Gas()
-		m.recordCompletion(stageLat, sb.Gas())
-		if sb.State() == sandbox.StateTrapped {
-			m.failures.Add(1)
-			terr := fmt.Errorf("core: %s%s: stage %s: %w", PipelinePrefix, p.Name, m.Name, sb.Err)
-			sb.Release()
-			rt.chainCleanup(p, timer, prev, nextCM, nextInst)
-			return nil, time.Since(start), admission.OutcomeTrap, terr
-		}
-
-		output, declared, oerr := handoff(sb)
-		if oerr != nil {
-			m.failures.Add(1)
-			sb.Release()
-			rt.chainCleanup(p, timer, prev, nextCM, nextInst)
-			return nil, time.Since(start), admission.OutcomeTrap, fmt.Errorf("core: %s%s: stage %s: %w",
-				PipelinePrefix, p.Name, m.Name, oerr)
-		}
-		affinity = sb.LastWorker.Load()
-		if i < n-1 {
-			p.recordHandoff(declared, len(output))
-		}
-
-		// The consumer of prev's memory (this stage) is done: recycle it.
-		// sb itself must now survive until the *next* stage finishes
-		// reading output.
-		if prev != nil {
-			prev.Release()
-		}
-		prev = sb
-		input = output
-	}
-
-	if len(input) > 0 {
-		// Copy the final stage's result out before its memory returns to
-		// the pool.
-		out = append([]byte(nil), input...)
-	}
-	prev.Release()
-	if timer.Stop() {
-		rt.timers.Put(timer)
-	}
-	lat = time.Since(start)
-	p.invocations.Add(1)
-	p.totalNanos.Add(int64(lat))
-	p.gas.Add(totalGas)
-	return out, lat, admission.OutcomeSuccess, nil
-}
-
-// chainCleanup reclaims chain resources on an error path: the prefetched
-// next-stage instance, the held producer sandbox, and the pooled timer
-// (nil timer means its token was already consumed and the timer returned).
-// The pipeline's failure counter is bumped when p is non-nil — deadline
-// sheds pass nil and account under Sheds instead.
-func (rt *Runtime) chainCleanup(p *Pipeline, timer *time.Timer, prev *sandbox.Sandbox, nextCM *engine.CompiledModule, nextInst *engine.Instance) {
-	if nextInst != nil {
-		nextCM.Release(nextInst)
-	}
-	if prev != nil {
-		prev.Release()
-	}
-	if timer != nil && timer.Stop() {
-		rt.timers.Put(timer)
-	}
-	if p != nil {
-		p.failures.Add(1)
-	}
-}
-
 // retryHint floors a mid-chain shed's Retry-After at something meaningful
 // when the stage estimate is tiny or unknown.
 func retryHint(est time.Duration) time.Duration {
@@ -460,16 +217,13 @@ func retryHint(est time.Duration) time.Duration {
 	return est
 }
 
-// pipelineSeed sums the chain's per-stage epoch latencies: the admission
-// controller's first whole-chain estimate before any chain has completed.
-func (rt *Runtime) pipelineSeed(name string) time.Duration {
-	p, ok := rt.LookupPipeline(name)
-	if !ok {
-		return 0
-	}
+// chainSeedLocked sums the chain's per-stage epoch latencies: the whole-
+// chain estimate before any chain has completed (the admission seed and the
+// health fallback). Callers hold rt.mu.
+func chainSeedLocked(rt *Runtime, p *Pipeline) time.Duration {
 	var sum time.Duration
 	for _, s := range p.stages {
-		if m, ok := rt.Lookup(s); ok {
+		if m, ok := rt.registry[s]; ok {
 			sum += m.seedLatency()
 		}
 	}
@@ -492,13 +246,7 @@ func (rt *Runtime) pipelineHealth(h *HealthSnapshot, ah admission.Health) {
 			mh.Breaker = amh.Breaker
 		}
 		if mh.EWMAServiceNanos == 0 {
-			var sum time.Duration
-			for _, s := range p.stages {
-				if m, ok := rt.registry[s]; ok {
-					sum += m.seedLatency()
-				}
-			}
-			mh.EWMAServiceNanos = int64(sum)
+			mh.EWMAServiceNanos = int64(chainSeedLocked(rt, p))
 		}
 		h.Modules[key] = mh
 	}
@@ -510,15 +258,13 @@ func chainTierLocked(rt *Runtime, p *Pipeline) string {
 		switch label {
 		case TierLabelCold:
 			return 0
-		case "naive":
+		case engine.TierLabelCheap:
 			return 1
-		case "cheap":
-			return 2
 		default:
-			return 3
+			return 2
 		}
 	}
-	worst, worstRank := "", 4
+	worst, worstRank := "", 3
 	for _, s := range p.stages {
 		label := TierLabelCold
 		if m, ok := rt.registry[s]; ok {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -49,9 +50,9 @@ func TestPipelineMatchesSequential(t *testing.T) {
 	seqGas := stageGasDelta(t, rt, gasBefore)
 
 	gasBefore = stageGas(t, rt)
-	piped, err := rt.InvokePipeline("imgchain", req)
+	piped, err := rt.Invoke(PipelinePrefix+"imgchain", req)
 	if err != nil {
-		t.Fatalf("InvokePipeline: %v", err)
+		t.Fatalf("Invoke(p/imgchain): %v", err)
 	}
 	pipeGas := stageGasDelta(t, rt, gasBefore)
 
@@ -85,6 +86,30 @@ func TestPipelineMatchesSequential(t *testing.T) {
 	demuxed, err := rt.Invoke(PipelinePrefix+"imgchain", req)
 	if err != nil || !bytes.Equal(demuxed, piped) {
 		t.Errorf("Invoke(p/imgchain): %d bytes, %v", len(demuxed), err)
+	}
+
+	// A one-stage chain over a module is that module's direct invoke: the
+	// same bytes and the same gas.
+	first := apps.ChainStages[0]
+	if _, err := rt.RegisterPipeline("solo", first); err != nil {
+		t.Fatalf("RegisterPipeline(solo): %v", err)
+	}
+	solo := PipelinePrefix + "solo"
+	gasBefore = stageGas(t, rt)
+	direct, err := rt.Invoke(first, req)
+	if err != nil {
+		t.Fatalf("Invoke(%s): %v", first, err)
+	}
+	directGas := stageGasDelta(t, rt, gasBefore)[first]
+	gasBefore = stageGas(t, rt)
+	soloOut, err := rt.Invoke(solo, req)
+	if err != nil {
+		t.Fatalf("Invoke(%s): %v", solo, err)
+	}
+	soloGas := stageGasDelta(t, rt, gasBefore)[first]
+	if !bytes.Equal(soloOut, direct) || soloGas != directGas {
+		t.Errorf("one-stage chain: %d bytes gas %d, direct %s: %d bytes gas %d",
+			len(soloOut), soloGas, first, len(direct), directGas)
 	}
 }
 
@@ -135,7 +160,7 @@ func TestPipelineRegistration(t *testing.T) {
 	if names := rt.Pipelines(); len(names) != 1 || names[0] != "ok" {
 		t.Errorf("Pipelines() = %v", names)
 	}
-	if _, err := rt.InvokePipeline("ghost", nil); !errors.Is(err, ErrNoPipeline) {
+	if _, err := rt.Invoke(PipelinePrefix+"ghost", nil); !errors.Is(err, ErrNoPipeline) {
 		t.Errorf("unknown pipeline invoke: %v", err)
 	}
 	// The pipeline namespace is fenced off from modules.
@@ -173,7 +198,7 @@ func TestPipelineDeadlineRemainingBudget(t *testing.T) {
 		t.Fatalf("ping estimate %v not inside (0, %v); test premise broken", est, deadline)
 	}
 
-	_, err := rt.InvokePipelineWithDeadline("burnchain", req, deadline)
+	_, err := rt.InvokeWithDeadline(PipelinePrefix+"burnchain", req, deadline)
 	if err == nil {
 		t.Fatal("chain met an unmeetable deadline")
 	}
@@ -193,11 +218,66 @@ func TestPipelineDeadlineRemainingBudget(t *testing.T) {
 	}
 
 	// Same chain, no deadline: completes, and the second stage runs.
-	if _, err := rt.InvokePipeline("burnchain", apps.SpinRequest(1000)); err != nil {
+	if _, err := rt.Invoke(PipelinePrefix+"burnchain", apps.SpinRequest(1000)); err != nil {
 		t.Fatalf("undeadlined chain: %v", err)
 	}
 	if got := pingM.Stats().Invocations; got != pingBefore+1 {
 		t.Errorf("ping invocations = %d, want %d", got, pingBefore+1)
+	}
+}
+
+// TestPipelineTimeout: one RequestTimeout covers the whole chain. The
+// middle stage spins past it, so the chain fails with a timeout, that stage
+// is abandoned to the workers, and every instance the chain held — the
+// completed producer and the prefetched last stage — returns to its pool.
+// The runtime then serves the next chain normally.
+func TestPipelineTimeout(t *testing.T) {
+	rt := New(Config{Workers: 2, RequestTimeout: 20 * time.Millisecond})
+	t.Cleanup(func() { rt.Close() })
+	stages := []string{"echo", "spin", "ping"}
+	for _, name := range stages {
+		registerApp(t, rt, name)
+	}
+	p, err := rt.RegisterPipeline("slowchain", stages...)
+	if err != nil {
+		t.Fatalf("RegisterPipeline: %v", err)
+	}
+	chain := PipelinePrefix + "slowchain"
+	if _, err := rt.Invoke(chain, apps.SpinRequest(1000)); err != nil {
+		t.Fatalf("warm chain: %v", err)
+	}
+	// Idle instances of the held producer (echo) and the prefetched last
+	// stage (ping). The abandoned spin instance is reaped mid-run, so the
+	// engine drops it rather than pooling it.
+	pooled := func() [2]int {
+		echo, _ := rt.Lookup("echo")
+		ping, _ := rt.Lookup("ping")
+		return [2]int{echo.Compiled().PooledInstances(), ping.Compiled().PooledInstances()}
+	}
+	idle := pooled()
+
+	// 50M iterations: seconds of work against a 20ms budget.
+	_, err = rt.Invoke(chain, apps.SpinRequest(50_000_000))
+	if err == nil || !strings.Contains(err.Error(), "timed out") {
+		t.Fatalf("Invoke = %v, want timeout", err)
+	}
+	if got := rt.Abandoned(); got != 1 {
+		t.Errorf("abandoned = %d, want 1", got)
+	}
+	if st := p.Stats(); st.Failures != 1 {
+		t.Errorf("stats = %+v, want 1 failure", st)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for rt.Pool().Inflight() != 0 || pooled() != idle {
+		if time.Now().After(deadline) {
+			t.Fatalf("chain leaked: inflight %d, pooled instances %v, want %v",
+				rt.Pool().Inflight(), pooled(), idle)
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	if _, err := rt.Invoke(chain, apps.SpinRequest(1000)); err != nil {
+		t.Errorf("chain after timeout: %v", err)
 	}
 }
 
@@ -209,9 +289,9 @@ func TestPipelineWholeChainAdmission(t *testing.T) {
 	registerChain(t, rt)
 
 	req := apps.ChainRequest(32, 32)
-	out, err := rt.InvokePipeline("imgchain", req)
+	out, err := rt.Invoke(PipelinePrefix+"imgchain", req)
 	if err != nil {
-		t.Fatalf("InvokePipeline: %v", err)
+		t.Fatalf("Invoke(p/imgchain): %v", err)
 	}
 	if want := apps.ChainNative(req); !bytes.Equal(out, want) {
 		t.Error("admitted chain reply diverges from native chain")
@@ -239,7 +319,7 @@ export i32 main() {
 	if _, err := rt.RegisterPipeline("bigchain", "bigmouth"); err != nil {
 		t.Fatalf("RegisterPipeline: %v", err)
 	}
-	if _, err := rt.InvokePipeline("bigchain", nil); !errors.Is(err, abi.ErrHandoffTooLarge) {
+	if _, err := rt.Invoke(PipelinePrefix+"bigchain", nil); !errors.Is(err, abi.ErrHandoffTooLarge) {
 		t.Fatalf("oversized declaration: %v, want ErrHandoffTooLarge", err)
 	}
 	// A single-function invoke hits the same cap (the region is the reply).
@@ -354,9 +434,12 @@ export i32 main() {
 	}
 
 	req := apps.EchoPayload(512)
+	// Invocation names are built once, so the measured calls do no string
+	// concatenation.
+	one, three := PipelinePrefix+"one", PipelinePrefix+"three"
 	invoke := func(name string) func() {
 		return func() {
-			out, err := rt.InvokePipeline(name, req)
+			out, err := rt.Invoke(name, req)
 			if err != nil || !bytes.Equal(out, req) {
 				t.Fatalf("%s: %d bytes, %v", name, len(out), err)
 			}
@@ -365,12 +448,18 @@ export i32 main() {
 	// Warm the sandbox shells and instance pools (the 3-stage chain keeps
 	// up to three instances alive at once: producer, consumer, prefetch).
 	for i := 0; i < 8; i++ {
-		invoke("one")()
-		invoke("three")()
+		invoke("eo")()
+		invoke(one)()
+		invoke(three)()
 	}
 
-	allocOne := testing.AllocsPerRun(50, invoke("one"))
-	allocThree := testing.AllocsPerRun(50, invoke("three"))
+	allocDirect := testing.AllocsPerRun(50, invoke("eo"))
+	allocOne := testing.AllocsPerRun(50, invoke(one))
+	allocThree := testing.AllocsPerRun(50, invoke(three))
+	// A one-stage chain is the direct invoke run through the same executor.
+	if allocOne != allocDirect {
+		t.Errorf("1-stage chain %.1f allocs/op, direct invoke %.1f, want equal", allocOne, allocDirect)
+	}
 	if diff := allocThree - allocOne; diff > 0.5 {
 		t.Errorf("extra stages allocate: 1-stage %.1f allocs/op, 3-stage %.1f (diff %.1f, want 0)",
 			allocOne, allocThree, diff)

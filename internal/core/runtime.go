@@ -94,9 +94,10 @@ type ModuleStats struct {
 	// for per-tenant accounting.
 	Gas uint64 `json:"gas"`
 	// Tier labels the rung of the tier ladder the installed compiled form
-	// sits on ("naive", "cheap", "full"); Promotions counts background
-	// tier-up swaps and LastRecompile is the wall time of the most recent
-	// one — together they let operators watch the ladder work via /__stats.
+	// sits on ("cheap", "full", or "cold" once the cache evicted its body);
+	// Promotions counts background tier-up swaps and LastRecompile is the
+	// wall time of the most recent one — together they let operators watch
+	// the ladder work via /__stats.
 	Tier          string        `json:"tier"`
 	Promotions    uint32        `json:"promotions"`
 	LastRecompile time.Duration `json:"last_recompile_ns"`
@@ -357,10 +358,13 @@ func New(cfg Config) *Runtime {
 			// stages' epoch latencies — the whole-chain cost the single
 			// chain ticket must budget for.
 			acfg.SeedEstimate = func(module string) time.Duration {
+				rt.mu.RLock()
+				defer rt.mu.RUnlock()
 				if name, isPipe := splitPipelineName(module); isPipe {
-					return rt.pipelineSeed(name)
-				}
-				if m, ok := rt.Lookup(module); ok {
+					if p, ok := rt.pipelines[name]; ok {
+						return chainSeedLocked(rt, p)
+					}
+				} else if m, ok := rt.registry[module]; ok {
 					return m.seedLatency()
 				}
 				return 0
@@ -618,8 +622,9 @@ func (rt *Runtime) Modules() []string {
 	return out
 }
 
-// Invoke executes one request against the named function, bypassing HTTP.
-// It blocks until the sandbox completes and returns the response body.
+// Invoke executes one request against the named function or pipeline
+// ("p/<name>"), bypassing HTTP. It blocks until the request completes and
+// returns the response body.
 func (rt *Runtime) Invoke(name string, req []byte) ([]byte, error) {
 	return rt.InvokeWithDeadline(name, req, 0)
 }
@@ -628,63 +633,73 @@ func (rt *Runtime) Invoke(name string, req []byte) ([]byte, error) {
 // the controller estimates the request would wait longer than deadline for
 // a worker, it is shed immediately with an *admission.Rejection error
 // instead of queueing. deadline <= 0 uses the controller default; without
-// an admission controller it is ignored.
+// an admission controller it is ignored for modules.
+//
+// A name in the reserved pipeline namespace runs the whole chain under one
+// ticket and one deadline (pipeline.go): the deadline gates initial
+// admission and then sheds later stages against the remaining budget.
+// Cluster routers and the HTTP surface reach pipelines through this same
+// entry, so a chain routes whole — never per-stage.
 func (rt *Runtime) InvokeWithDeadline(name string, req []byte, deadline time.Duration) ([]byte, error) {
+	var m *Module
+	var p *Pipeline
+	var tenant string
 	if pname, isPipe := splitPipelineName(name); isPipe {
-		// The reserved pipeline namespace: one name, one ticket, one
-		// deadline for the whole chain (pipeline.go). Cluster routers and
-		// the HTTP surface reach pipelines through this same demux, so a
-		// chain routes whole — never per-stage.
-		return rt.InvokePipelineWithDeadline(pname, req, deadline)
-	}
-	m, ok := rt.Lookup(name)
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNoModule, name)
+		var ok bool
+		if p, ok = rt.LookupPipeline(pname); !ok {
+			return nil, fmt.Errorf("%w: %s", ErrNoPipeline, pname)
+		}
+		tenant = p.Tenant
+	} else {
+		var ok bool
+		if m, ok = rt.Lookup(name); !ok {
+			return nil, fmt.Errorf("%w: %s", ErrNoModule, name)
+		}
+		tenant = m.Tenant
 	}
 	if rt.adm == nil {
-		out, _, _, err := rt.run(m, req)
+		out, _, _, err := rt.run(m, p, req, deadline)
 		return out, err
 	}
-	tenant := m.Tenant
 	if tenant == "" {
 		tenant = "default"
 	}
-	ticket, rej := rt.adm.Admit(tenant, m.Name, deadline)
+	ticket, rej := rt.adm.Admit(tenant, name, deadline)
 	if rej != nil {
 		return nil, fmt.Errorf("core: %s: %w", name, rej)
 	}
-	out, lat, outcome, err := rt.run(m, req)
+	if deadline <= 0 {
+		// The controller admitted against its default deadline; thread the
+		// same budget through the mid-chain shed checks.
+		deadline = rt.admDefaultDeadline
+	}
+	out, lat, outcome, err := rt.run(m, p, req, deadline)
 	ticket.Done(outcome, lat)
 	return out, err
 }
 
-// run executes one admitted request end-to-end: instantiate a sandbox,
-// submit it to the scheduler, wait for completion or timeout. It reports
-// the observed latency and the admission outcome alongside the response.
-// The compiled form is loaded exactly once, here: a concurrent tier
-// promotion swaps the module pointer for future requests while this one
-// finishes untouched on the code it started with.
-func (rt *Runtime) run(m *Module, req []byte) (out []byte, lat time.Duration, outcome admission.Outcome, err error) {
-	cm := m.Compiled()
-	if cm == nil {
-		// Registered-but-cold: the bounded cache dropped the compiled body.
-		// Recompile at the ladder's registration rung before serving.
-		if cm, err = rt.revive(m); err != nil {
-			return nil, 0, admission.OutcomeTrap, err
-		}
-	}
-	sb, err := sandbox.New(cm, req, sandbox.Options{
-		Entry:           m.Entry,
-		KV:              rt.cfg.KV,
-		Tenant:          m.Tenant,
-		NoRecycle:       rt.cfg.NoRecycle,
-		MaxHandoffBytes: rt.cfg.MaxHandoffBytes,
-	})
-	if err != nil {
-		return nil, 0, admission.OutcomeTrap, err
-	}
-	if err := rt.pool.Submit(sb); err != nil {
-		return nil, 0, admission.OutcomeTrap, err
+// run executes one admitted request end-to-end. p == nil runs module m
+// alone; otherwise m is ignored and p's stages run in order, each resolved
+// by name. Every stage takes the same path: shed against the remaining
+// deadline budget (stages after the first), instantiate a sandbox, submit
+// it (with affinity for the previous stage's worker), prefetch the next
+// stage's instance, wait for completion or timeout, then hand the result
+// to the next stage as its request. A stage's sandbox is kept alive — not
+// released to the pool — until its consumer finishes, so the aliased
+// handoff buffer stays valid; at most two stages' instances are held at
+// once, plus one prefetched instance for the stage after.
+//
+// One RequestTimeout covers the whole request. A stage that finishes as
+// the timer fires completes normally, but no later stage starts. The
+// reported latency is the last stage's DoneAt minus stage 0's CreatedAt —
+// stamps the sandboxes already took, so for one stage it is exactly
+// sb.Latency(). Each stage loads its module's compiled form exactly once:
+// a concurrent tier promotion swaps the pointer for future requests while
+// this one finishes untouched on the code it started with.
+func (rt *Runtime) run(m *Module, p *Pipeline, req []byte, deadline time.Duration) (out []byte, lat time.Duration, outcome admission.Outcome, err error) {
+	n := 1
+	if p != nil {
+		n = len(p.stages)
 	}
 	timer, _ := rt.timers.Get().(*time.Timer)
 	if timer == nil {
@@ -692,81 +707,268 @@ func (rt *Runtime) run(m *Module, req []byte) (out []byte, lat time.Duration, ou
 	} else {
 		timer.Reset(rt.cfg.RequestTimeout)
 	}
-	select {
-	case <-sb.Done():
-		if timer.Stop() {
-			rt.timers.Put(timer)
+
+	input := req
+	var start time.Time       // stage 0's CreatedAt
+	var prev *sandbox.Sandbox // completed producer of input, held for its memory
+	var totalGas uint64
+	affinity := int32(-1)
+
+	// Prefetched instance for the next stage (acquired while the current
+	// stage runs, consumed by the next iteration). Error paths funnel
+	// through abort — a plain method call, not a defer or closure, so the
+	// steady-state success path stays allocation-free.
+	var nextM *Module
+	var nextCM *engine.CompiledModule
+	var nextInst *engine.Instance
+
+	for i := 0; i < n; i++ {
+		if timer == nil {
+			// The timer fired as stage i-1 finished and lost the abandon
+			// race: that stage completed, but the deadline is spent.
+			rt.abort(p, nil, prev, nextCM, nextInst)
+			return nil, rt.cfg.RequestTimeout, admission.OutcomeTimeout, rt.timedOut(p, m)
 		}
-		// else: the timer fired concurrently; its channel holds a stale
-		// token, so drop it rather than poison the pool.
-	case <-timer.C:
-		rt.timers.Put(timer) // token consumed; channel known empty
-		if sb.Abandon() {
-			// The sandbox is still running somewhere on the pool; a
-			// worker reaps and recycles it when it next surfaces.
-			rt.abandoned.Add(1)
+		var cm *engine.CompiledModule
+		var inst *engine.Instance
+		if nextInst != nil {
+			m, cm, inst = nextM, nextCM, nextInst
+			nextInst = nil
+		} else if m, cm, err = rt.stage(m, p, i); err != nil {
+			rt.abort(p, timer, prev, nil, nil)
+			return nil, 0, admission.OutcomeTrap, err
+		}
+
+		// Shed later stages against the *remaining* budget: admission's
+		// queueing check consumed the full deadline, and by stage i the
+		// chain has already spent part of it.
+		if i > 0 && deadline > 0 {
+			remaining := deadline - time.Since(start)
+			if est := rt.stageEstimate(m); remaining <= 0 || est > remaining {
+				rt.abort(nil, timer, prev, cm, inst)
+				p.sheds.Add(1)
+				return nil, 0, admission.OutcomeTimeout, stageErr(p, m, &admission.Rejection{
+					Status:     503,
+					RetryAfter: retryHint(est),
+					Reason:     admission.ReasonDeadlineShed,
+				})
+			}
+		}
+
+		sb, serr := sandbox.New(cm, input, sandbox.Options{
+			Entry:           m.Entry,
+			KV:              rt.cfg.KV,
+			Tenant:          m.Tenant,
+			NoRecycle:       rt.cfg.NoRecycle,
+			Instance:        inst,
+			MaxHandoffBytes: rt.cfg.MaxHandoffBytes,
+		})
+		if serr != nil {
+			rt.abort(p, timer, prev, nil, nil)
+			return nil, 0, admission.OutcomeTrap, serr
+		}
+		if i == 0 {
+			start = sb.CreatedAt
+		}
+		// Continuations chase the previous stage's worker: the handoff
+		// buffer it just produced is hot in that core's cache. Stage 0 has
+		// no producer and balances normally.
+		if affinity >= 0 {
+			serr = rt.pool.SubmitAffine(sb, int(affinity))
+		} else {
+			serr = rt.pool.Submit(sb)
+		}
+		if serr != nil {
+			rt.abort(p, timer, prev, nil, nil)
+			return nil, 0, admission.OutcomeTrap, serr
+		}
+
+		// Overlap the next stage's instance acquisition with this stage's
+		// execution: by the time the stage completes, the consumer's linear
+		// memory is already reset and waiting. Skipped in NoRecycle mode
+		// (nothing pooled to prefetch).
+		if i+1 < n && !rt.cfg.NoRecycle {
+			if nm, ncm, perr := rt.stage(nil, p, i+1); perr == nil {
+				nextM, nextCM = nm, ncm
+				nextInst = ncm.Acquire()
+			}
+		}
+
+		select {
+		case <-sb.Done():
+		case <-timer.C:
+			rt.timers.Put(timer) // token consumed; channel known empty
+			timer = nil
+			if sb.Abandon() {
+				// The sandbox is still running somewhere on the pool; a
+				// worker reaps and recycles it when it next surfaces.
+				rt.abandoned.Add(1)
+				m.failures.Add(1)
+				rt.abort(p, nil, prev, nextCM, nextInst)
+				return nil, rt.cfg.RequestTimeout, admission.OutcomeTimeout, rt.timedOut(p, m)
+			}
+			// Lost the race: the stage finished first. Consume its
+			// notification and proceed as a normal completion.
+			<-sb.Done()
+		}
+		if i == n-1 && timer != nil {
+			// The last stage is done: the deadline no longer applies.
+			if timer.Stop() {
+				rt.timers.Put(timer)
+			}
+			// else: the timer fired concurrently; its channel holds a stale
+			// token, so drop it rather than poison the pool.
+			timer = nil
+		}
+
+		// Read every stamp before Release recycles the sandbox.
+		lat = sb.DoneAt.Sub(start)
+		gas := sb.Gas()
+		totalGas += gas
+		m.recordCompletion(sb.Latency(), gas)
+		// Output, not Response: a function that declared a sledge.output
+		// region replies alone with the same bytes it hands a consumer —
+		// bit-identical results whether it runs alone or as a stage.
+		output, declared, oerr := handoff(sb)
+		if sb.State() == sandbox.StateTrapped {
+			oerr = sb.Err
+		}
+		if oerr != nil {
 			m.failures.Add(1)
-			return nil, rt.cfg.RequestTimeout, admission.OutcomeTimeout,
-				fmt.Errorf("core: %s: request timed out after %v", m.Name, rt.cfg.RequestTimeout)
+			sb.Release()
+			rt.abort(p, timer, prev, nextCM, nextInst)
+			return nil, lat, admission.OutcomeTrap, stageErr(p, m, oerr)
 		}
-		// Lost the race: the sandbox finished first. Consume its
-		// notification and proceed as a normal completion.
-		<-sb.Done()
+		if i < n-1 {
+			affinity = sb.LastWorker.Load()
+			p.recordHandoff(declared, len(output))
+		}
+
+		// The consumer of prev's memory (this stage) is done: recycle it.
+		// sb itself must now survive until the *next* stage finishes
+		// reading output.
+		if prev != nil {
+			prev.Release()
+		}
+		prev = sb
+		input = output
 	}
-	lat = sb.Latency()
-	m.recordCompletion(lat, sb.Gas())
-	if sb.State() == sandbox.StateTrapped {
-		m.failures.Add(1)
-		err := fmt.Errorf("core: %s: %w", m.Name, sb.Err)
-		sb.Release()
-		return nil, lat, admission.OutcomeTrap, err
+
+	if len(input) > 0 {
+		// Copy the final stage's result out before its memory returns to
+		// the pool.
+		out = append([]byte(nil), input...)
 	}
-	// Output, not Response: a function that declared a sledge.output
-	// region gets the same reply here as it hands a pipeline consumer —
-	// bit-identical results whether it runs alone or as a stage.
-	resp, oerr := sb.Output()
-	if oerr != nil {
-		m.failures.Add(1)
-		err := fmt.Errorf("core: %s: %w", m.Name, oerr)
-		sb.Release()
-		return nil, lat, admission.OutcomeTrap, err
+	prev.Release()
+	if p != nil {
+		p.invocations.Add(1)
+		p.totalNanos.Add(int64(lat))
+		p.gas.Add(totalGas)
 	}
-	if len(resp) > 0 {
-		// Copy out before the buffer returns to the pool.
-		out = append([]byte(nil), resp...)
-	}
-	sb.Release()
 	return out, lat, admission.OutcomeSuccess, nil
+}
+
+// stage resolves stage i of a request to its module and installed compiled
+// form: m itself when p is nil, else p's i-th stage looked up by name, so
+// Replace/Unregister of a stage behaves exactly as it does for direct
+// invokes. A registered-but-cold module — the bounded cache dropped its
+// compiled body — is recompiled at the ladder's registration rung first.
+func (rt *Runtime) stage(m *Module, p *Pipeline, i int) (*Module, *engine.CompiledModule, error) {
+	if p != nil {
+		var ok bool
+		if m, ok = rt.Lookup(p.stages[i]); !ok {
+			return nil, nil, fmt.Errorf("%w: %s", ErrNoModule, p.stages[i])
+		}
+	}
+	if cm := m.Compiled(); cm != nil {
+		return m, cm, nil
+	}
+	cm, err := rt.revive(m)
+	return m, cm, err
+}
+
+// abort reclaims a request's resources on an error exit: an acquired
+// instance no stage will run on, the held producer sandbox, and the pooled
+// timer (nil once its token was consumed or it was stopped). The
+// pipeline's failure counter is bumped when p is non-nil — deadline sheds
+// pass nil and account under Sheds instead.
+func (rt *Runtime) abort(p *Pipeline, timer *time.Timer, prev *sandbox.Sandbox, cm *engine.CompiledModule, inst *engine.Instance) {
+	if inst != nil {
+		cm.Release(inst)
+	}
+	if prev != nil {
+		prev.Release()
+	}
+	if timer != nil && timer.Stop() {
+		rt.timers.Put(timer)
+	}
+	if p != nil {
+		p.failures.Add(1)
+	}
+}
+
+// stageErr attributes err to the module that raised it: "core: <m>: …" for
+// a single-module run, "core: p/<name>: stage <m>: …" within a chain.
+func stageErr(p *Pipeline, m *Module, err error) error {
+	if p == nil {
+		return fmt.Errorf("core: %s: %w", m.Name, err)
+	}
+	return fmt.Errorf("core: %s%s: stage %s: %w", PipelinePrefix, p.Name, m.Name, err)
+}
+
+// timedOut is the error for a request whose RequestTimeout expired during
+// (or right after) module m's stage.
+func (rt *Runtime) timedOut(p *Pipeline, m *Module) error {
+	return stageErr(p, m, fmt.Errorf("request timed out after %v", rt.cfg.RequestTimeout))
 }
 
 // handle is the listener-core request path: demultiplex by URL, admit (or
 // shed), instantiate a sandbox, push it to the work-distribution deque, and
 // reply with the function's stdout.
 func (rt *Runtime) handle(req *httpd.Request) httpd.Response {
-	name := strings.TrimPrefix(req.Path, "/")
+	name, deadline := ParseInvocation(req)
+	switch name {
+	case "__stats":
+		return rt.statsResponse()
+	case "__health":
+		return rt.healthResponse()
+	}
+	body, err := rt.InvokeWithDeadline(name, req.Body, deadline)
+	return InvokeResponse(body, err)
+}
+
+// ParseInvocation reads an HTTP request's invocation target: the module or
+// "p/<pipeline>" name from the URL path (query string stripped) and the
+// optional per-request deadline from DeadlineHeader (0 when absent or
+// malformed). The node listener and the cluster front end both parse
+// requests with it.
+func ParseInvocation(req *httpd.Request) (name string, deadline time.Duration) {
+	name = strings.TrimPrefix(req.Path, "/")
 	if i := strings.IndexByte(name, '?'); i >= 0 {
 		name = name[:i]
 	}
-	if name == "__stats" {
-		return rt.statsResponse()
-	}
-	if name == "__health" {
-		return rt.healthResponse()
-	}
-	var deadline time.Duration
 	if v := req.Header[DeadlineHeader]; v != "" {
 		if ms, err := strconv.Atoi(v); err == nil && ms > 0 {
 			deadline = time.Duration(ms) * time.Millisecond
 		}
 	}
-	body, err := rt.InvokeWithDeadline(name, req.Body, deadline)
+	return name, deadline
+}
+
+// InvokeResponse maps an invocation's result to its HTTP reply: 200 with
+// the body; 404 for an unknown module or pipeline; 413 when a function
+// declared an output region over MaxHandoffBytes (too large to hand off or
+// reply with); an admission Rejection's own status, Retry-After and reason;
+// 500 for anything else. The node listener and the cluster front end both
+// answer with it, so a client cannot tell a cluster from one node.
+func InvokeResponse(body []byte, err error) httpd.Response {
 	var rej *admission.Rejection
 	switch {
+	case err == nil:
+		return httpd.Response{Status: 200, Body: body}
 	case errors.Is(err, ErrNoModule), errors.Is(err, ErrNoPipeline):
 		return httpd.Response{Status: 404, Body: []byte(err.Error() + "\n")}
 	case errors.Is(err, abi.ErrHandoffTooLarge):
-		// The function declared an output region over MaxHandoffBytes:
-		// the produced payload is too large to hand off or reply with.
 		return httpd.Response{Status: 413, Body: []byte(err.Error() + "\n")}
 	case errors.As(err, &rej):
 		return httpd.Response{
@@ -775,10 +977,8 @@ func (rt *Runtime) handle(req *httpd.Request) httpd.Response {
 			ContentType: "text/plain",
 			Body:        []byte(rej.Reason + "\n"),
 		}
-	case err != nil:
-		return httpd.Response{Status: 500, Body: []byte(err.Error() + "\n")}
 	}
-	return httpd.Response{Status: 200, Body: body}
+	return httpd.Response{Status: 500, Body: []byte(err.Error() + "\n")}
 }
 
 // statsResponse serves GET /__stats: scheduler counters, listener

@@ -152,6 +152,7 @@ func runChain(o Options, snap *chainSnapshot) ([]*Table, error) {
 
 	req := apps.ChainRequest(frameW, frameH)
 	want := apps.ChainNative(req)
+	chain := core.PipelinePrefix + "imgchain"
 
 	// Clients: the entry hop keeps its connection alive in both modes; the
 	// self-call baseline's internal hops cannot (a stateless sandbox holds
@@ -212,7 +213,7 @@ func runChain(o Options, snap *chainSnapshot) ([]*Table, error) {
 	selfGas := gasDelta(before)
 
 	before = stageGas()
-	pipeReply, err := rt.InvokePipeline("imgchain", req)
+	pipeReply, err := rt.Invoke(chain, req)
 	if err != nil {
 		return nil, err
 	}
@@ -248,7 +249,7 @@ func runChain(o Options, snap *chainSnapshot) ([]*Table, error) {
 		if _, err := selfCall(); err != nil {
 			return nil, err
 		}
-		if _, err := rt.InvokePipeline("imgchain", req); err != nil {
+		if _, err := rt.Invoke(chain, req); err != nil {
 			return nil, err
 		}
 	}

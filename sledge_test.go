@@ -144,14 +144,14 @@ export i32 main() {
 	if err != nil {
 		t.Fatalf("RegisterPipeline: %v", err)
 	}
-	resp, err := rt.InvokePipeline("shout", []byte("edge functions"))
+	resp, err := rt.Invoke(sledge.PipelinePrefix+"shout", []byte("edge functions"))
 	if err != nil {
-		t.Fatalf("InvokePipeline: %v", err)
+		t.Fatalf("Invoke(p/shout): %v", err)
 	}
 	if string(resp) != "EDGE FUNCTIONS!" {
 		t.Errorf("resp = %q", resp)
 	}
-	// The same chain answers under the reserved p/ namespace too.
+	// A second request through the same entry.
 	resp, err = rt.Invoke(sledge.PipelinePrefix+"shout", []byte("hi"))
 	if err != nil || string(resp) != "HI!" {
 		t.Errorf("Invoke(p/shout) = %q, %v", resp, err)
