@@ -6,6 +6,7 @@
 //	sledge-bench                 # run every experiment, full size
 //	sledge-bench -run fig6       # one experiment
 //	sledge-bench -quick          # reduced sizes/iterations
+//	sledge-bench -run sched -snapshot BENCH_sched.json  # JSON snapshot of one experiment
 package main
 
 import (
@@ -29,9 +30,14 @@ func main() {
 		quick    = flag.Bool("quick", false, "reduced problem sizes and iteration counts")
 		workers  = flag.Int("workers", 0, "override Sledge worker count (0 = GOMAXPROCS)")
 		quiet    = flag.Bool("quiet", false, "suppress progress logging")
-		snapshot = flag.String("snapshot", "", "write a JSON result snapshot (experiments that support it)")
+		snapshot = flag.String("snapshot", "", "write a JSON result snapshot (experiments that support it; needs one -run id)")
 	)
 	flag.Parse()
+	if *snapshot != "" && *run == "all" {
+		// Every snapshotting experiment would overwrite the same file.
+		fmt.Fprintln(os.Stderr, "-snapshot needs a single -run experiment id, not all")
+		os.Exit(2)
+	}
 
 	opts := experiments.Options{Quick: *quick, Workers: *workers, SnapshotPath: *snapshot}
 	if !*quiet {

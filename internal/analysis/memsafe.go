@@ -319,7 +319,7 @@ func (w *mwalker) dirtyHeader() {
 	}
 }
 
-func (w *mwalker) push(v aval)  { w.cur.stack = append(w.cur.stack, v) }
+func (w *mwalker) push(v aval) { w.cur.stack = append(w.cur.stack, v) }
 func (w *mwalker) pop() aval {
 	s := w.cur.stack
 	v := s[len(s)-1]

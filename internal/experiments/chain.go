@@ -2,13 +2,9 @@ package experiments
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
-	"os"
-	"runtime"
 	"sync"
 	"time"
 
@@ -54,10 +50,7 @@ type chainModeEntry struct {
 
 // chainSnapshot is the machine-readable BENCH_chain.json payload.
 type chainSnapshot struct {
-	Description string   `json:"description"`
-	Go          string   `json:"go"`
-	GOMAXPROCS  int      `json:"gomaxprocs"`
-	Quick       bool     `json:"quick"`
+	snapHeader
 	Stages      []string `json:"stages"`
 	FrameW      int      `json:"frame_w"`
 	FrameH      int      `json:"frame_h"`
@@ -78,8 +71,6 @@ type chainSnapshot struct {
 	FastHandoffs     uint64 `json:"fast_handoffs"`
 	BufferedHandoffs uint64 `json:"buffered_handoffs"`
 	HandoffBytes     uint64 `json:"handoff_bytes"`
-
-	Acceptance string `json:"acceptance"`
 }
 
 // RunChain measures the co-located pipeline fast path against the HTTP
@@ -104,51 +95,28 @@ func runChain(o Options, snap *chainSnapshot) ([]*Table, error) {
 		frameW, frameH = 16, 16
 		requests = 120
 	}
-	workers := o.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > 8 {
-		workers = 8
-	}
+	workers := min(o.workers(), 8)
 
 	snap.Description = "Function composition: chain-of-3 image pipeline (resize -> rgb2gray -> lpd), co-located zero-copy pipeline vs HTTP self-call baseline. make bench-chain"
-	snap.Go = runtime.Version()
-	snap.GOMAXPROCS = runtime.GOMAXPROCS(0)
-	snap.Quick = o.Quick
 	snap.Stages = apps.ChainStages
 	snap.FrameW = frameW
 	snap.FrameH = frameH
 	snap.Concurrency = conc
 	snap.Acceptance = "pipeline p50 >= 3x faster than HTTP self-call; replies and per-stage gas bit-identical between modes"
 
-	rt := core.New(core.Config{Workers: workers})
-	defer rt.Close()
-	for _, name := range apps.ChainStages {
-		app, ok := apps.Get(name)
-		if !ok {
-			return nil, fmt.Errorf("chain: unknown app %s", name)
-		}
-		cm, err := app.Compile(rt.EngineConfig())
-		if err != nil {
-			return nil, err
-		}
-		if _, err := rt.RegisterCompiled(name, cm, "main", ""); err != nil {
-			return nil, err
-		}
+	stages, err := appsNamed(apps.ChainStages...)
+	if err != nil {
+		return nil, err
 	}
+	rt, base, err := serveNode(core.Config{Workers: workers}, stages...)
+	if err != nil {
+		return nil, err
+	}
+	defer rt.Close()
 	pipe, err := rt.RegisterPipeline("imgchain", apps.ChainStages...)
 	if err != nil {
 		return nil, err
 	}
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	defer ln.Close()
-	go rt.Serve(ln)
-	base := "http://" + ln.Addr().String()
 
 	req := apps.ChainRequest(frameW, frameH)
 	want := apps.ChainNative(req)
@@ -298,15 +266,8 @@ func runChain(o Options, snap *chainSnapshot) ([]*Table, error) {
 		snap.SpeedupP50 = float64(selfEntry.P50NS) / float64(pipeEntry.P50NS)
 	}
 
-	if o.SnapshotPath != "" {
-		buf, err := json.MarshalIndent(snap, "", "  ")
-		if err != nil {
-			return nil, err
-		}
-		if err := os.WriteFile(o.SnapshotPath, append(buf, '\n'), 0o644); err != nil {
-			return nil, err
-		}
-		o.logf("chain: wrote %s", o.SnapshotPath)
+	if err := o.writeSnapshot("chain", snap); err != nil {
+		return nil, err
 	}
 
 	tbl := &Table{

@@ -2,10 +2,8 @@ package experiments
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"net"
-	"os"
 	"time"
 
 	"sledge/internal/abi"
@@ -107,7 +105,7 @@ func RunContinuum(o Options) ([]*Table, error) {
 		}
 	}()
 	for _, sp := range specs {
-		rt, url, err := startContinuumNode(sp.workers, &admission.Config{
+		rt, url, err := serveNode(core.Config{Workers: sp.workers, Admission: &admission.Config{
 			// The capacity hint is the admission window, not the core
 			// count: blocked fetches drain concurrently on the event loop.
 			Workers:         sp.slots,
@@ -115,7 +113,7 @@ func RunContinuum(o Options) ([]*Table, error) {
 			MaxQueue:        2 * sp.slots,
 			DefaultDeadline: deadline,
 			DefaultEstimate: kvLat,
-		}, &abi.LatentKV{KVStore: store, Delay: kvLat})
+		}, KV: &abi.LatentKV{KVStore: store, Delay: kvLat}}, &apps.FetchApp)
 		if err != nil {
 			return nil, fmt.Errorf("continuum %s: %w", sp.name, err)
 		}
@@ -249,67 +247,40 @@ func RunContinuum(o Options) ([]*Table, error) {
 		}
 	}
 
-	if o.SnapshotPath != "" {
-		type nodeJSON struct {
-			Name        string  `json:"name"`
-			Class       string  `json:"class"`
-			Workers     int     `json:"workers"`
-			Slots       int     `json:"slots"`
-			LinkMS      float64 `json:"link_ms"`
-			SprayWeight int     `json:"spray_weight"`
-			CapacityRPS float64 `json:"capacity_rps"`
-		}
-		var nj []nodeJSON
-		for i, sp := range specs {
-			nj = append(nj, nodeJSON{sp.name, sp.class.String(), sp.workers, sp.slots,
-				float64(sp.link) / 1e6, sp.weight, capacity[i]})
-		}
-		snap := struct {
-			App              string             `json:"app"`
-			KVLatencyMS      float64            `json:"kv_latency_ms"`
-			Quick            bool               `json:"quick"`
-			DeadlineMS       float64            `json:"deadline_ms"`
-			AggregateRPS     float64            `json:"aggregate_capacity_rps"`
-			Nodes            []nodeJSON         `json:"nodes"`
-			Points           []pointJSON        `json:"points"`
-			FederatedSpeedup map[string]float64 `json:"federated_over_isolated_goodput"`
-			Router           cluster.Snapshot   `json:"router"`
-		}{"fetch", float64(kvLat) / 1e6, o.Quick, float64(deadline) / 1e6, aggregate, nj, points,
-			map[string]float64{}, router.Stats()}
-		for mult, ratio := range ratios {
-			snap.FederatedSpeedup[fmt.Sprintf("%gx", mult)] = ratio
-		}
-		data, err := json.MarshalIndent(snap, "", "  ")
-		if err != nil {
-			return nil, err
-		}
-		if err := os.WriteFile(o.SnapshotPath, append(data, '\n'), 0o644); err != nil {
-			return nil, fmt.Errorf("continuum snapshot: %w", err)
-		}
-		o.logf("continuum: wrote %s", o.SnapshotPath)
+	type nodeJSON struct {
+		Name        string  `json:"name"`
+		Class       string  `json:"class"`
+		Workers     int     `json:"workers"`
+		Slots       int     `json:"slots"`
+		LinkMS      float64 `json:"link_ms"`
+		SprayWeight int     `json:"spray_weight"`
+		CapacityRPS float64 `json:"capacity_rps"`
+	}
+	var nj []nodeJSON
+	for i, sp := range specs {
+		nj = append(nj, nodeJSON{sp.name, sp.class.String(), sp.workers, sp.slots,
+			float64(sp.link) / 1e6, sp.weight, capacity[i]})
+	}
+	snap := struct {
+		snapHeader
+		App              string             `json:"app"`
+		KVLatencyMS      float64            `json:"kv_latency_ms"`
+		DeadlineMS       float64            `json:"deadline_ms"`
+		AggregateRPS     float64            `json:"aggregate_capacity_rps"`
+		Nodes            []nodeJSON         `json:"nodes"`
+		Points           []pointJSON        `json:"points"`
+		FederatedSpeedup map[string]float64 `json:"federated_over_isolated_goodput"`
+		Router           cluster.Snapshot   `json:"router"`
+	}{snapHeader{
+		Description: "Edge-cloud continuum: two edge nodes and one cloud node serve the I/O-bound fetch workload under locality-skewed open-loop load, sprayed across isolated node listeners vs placed by the federating cluster router. make bench-cluster",
+		Acceptance:  "federated goodput >= 1.3x isolated at 2x aggregate load, with admitted p99 within the deadline",
+	}, "fetch", float64(kvLat) / 1e6, float64(deadline) / 1e6, aggregate, nj, points,
+		map[string]float64{}, router.Stats()}
+	for mult, ratio := range ratios {
+		snap.FederatedSpeedup[fmt.Sprintf("%gx", mult)] = ratio
+	}
+	if err := o.writeSnapshot("cluster", &snap); err != nil {
+		return nil, err
 	}
 	return []*Table{tbl}, nil
-}
-
-// startContinuumNode brings up one continuum node: a runtime with the given
-// scheduler cores and admission window, the latent KV backend, and the
-// fetch module registered, served on an ephemeral listener.
-func startContinuumNode(workers int, acfg *admission.Config, kv abi.KVStore) (*core.Runtime, string, error) {
-	rt := core.New(core.Config{Workers: workers, Admission: acfg, KV: kv})
-	cm, err := apps.FetchApp.Compile(rt.EngineConfig())
-	if err != nil {
-		rt.Close()
-		return nil, "", err
-	}
-	if _, err := rt.RegisterCompiled("fetch", cm, "main", ""); err != nil {
-		rt.Close()
-		return nil, "", err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		rt.Close()
-		return nil, "", err
-	}
-	go rt.Serve(ln)
-	return rt, "http://" + ln.Addr().String(), nil
 }

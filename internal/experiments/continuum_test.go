@@ -37,6 +37,7 @@ func TestContinuumSmoke(t *testing.T) {
 		t.Fatalf("snapshot: %v", err)
 	}
 	var snap struct {
+		snapHeader
 		AggregateRPS float64 `json:"aggregate_capacity_rps"`
 		Nodes        []struct {
 			Name        string  `json:"name"`
@@ -55,6 +56,7 @@ func TestContinuumSmoke(t *testing.T) {
 	if err := json.Unmarshal(data, &snap); err != nil {
 		t.Fatalf("decode snapshot: %v", err)
 	}
+	assertHeader(t, snap.snapHeader)
 	if len(snap.Nodes) != 3 || snap.AggregateRPS <= 0 {
 		t.Fatalf("topology = %+v, aggregate = %.0f", snap.Nodes, snap.AggregateRPS)
 	}

@@ -98,6 +98,21 @@ func TestFig5OrderingShape(t *testing.T) {
 	assertLess("Lucet-class", "Wasmer-class", 1.05)
 }
 
+// assertHeader checks the provenance header writeSnapshot stamps on a
+// quick-mode snapshot.
+func assertHeader(t *testing.T, h snapHeader) {
+	t.Helper()
+	if h.Go == "" || h.Acceptance == "" {
+		t.Errorf("snapshot header missing go version or acceptance: %+v", h)
+	}
+	if h.GOMAXPROCS <= 0 || h.NumCPU <= 0 {
+		t.Errorf("snapshot header missing host shape: %+v", h)
+	}
+	if !h.Quick {
+		t.Errorf("quick run not recorded as quick: %+v", h)
+	}
+}
+
 func TestTableRender(t *testing.T) {
 	tbl := &Table{
 		ID:      "x",

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"sledge/internal/engine"
@@ -47,36 +46,23 @@ func runFig5Table1(o Options) ([]*Table, error) {
 	}
 	data := &fig5Result{class: make(map[string][]time.Duration)}
 
-	filter := make(map[string]bool, len(o.KernelFilter))
-	for _, name := range o.KernelFilter {
-		filter[name] = true
-	}
-	for ki := range polybench.Kernels {
-		k := &polybench.Kernels[ki]
-		if len(filter) > 0 && !filter[k.Name] {
-			continue
-		}
-		n := k.DefaultN
-		if o.Quick {
-			n = k.TestN
-		}
+	for _, k := range o.kernels() {
+		n := o.size(k)
 		data.kernels = append(data.kernels, k.Name)
 
 		want := k.Native(n)
-		data.native = append(data.native, medianTime(iters, func() error {
+		fns := []func() error{func() error {
 			if got := k.Native(n); !closeEnough(got, want) {
 				return fmt.Errorf("%s: native diverged", k.Name)
 			}
 			return nil
-		}))
-
+		}}
 		for _, rc := range Fig5Classes {
 			cm, err := k.Compile(n, rc.Cfg)
 			if err != nil {
 				return nil, fmt.Errorf("fig5: %s/%s: %w", k.Name, rc.Name, err)
 			}
-			var runErr error
-			d := medianTime(iters, func() error {
+			fns = append(fns, func() error {
 				got, err := polybench.RunWasm(cm, n)
 				if err != nil {
 					return err
@@ -85,11 +71,15 @@ func runFig5Table1(o Options) ([]*Table, error) {
 					return fmt.Errorf("%s/%s: checksum %v != native %v", k.Name, rc.Name, got, want)
 				}
 				return nil
-			}, &runErr)
-			if runErr != nil {
-				return nil, fmt.Errorf("fig5: %w", runErr)
-			}
-			data.class[rc.Name] = append(data.class[rc.Name], d)
+			})
+		}
+		medians, err := interleavedMedians(iters, fns...)
+		if err != nil {
+			return nil, fmt.Errorf("fig5: %w", err)
+		}
+		data.native = append(data.native, medians[0])
+		for i, rc := range Fig5Classes {
+			data.class[rc.Name] = append(data.class[rc.Name], medians[1+i])
 		}
 		o.logf("fig5: %s done (n=%d)", k.Name, n)
 	}
@@ -148,26 +138,6 @@ func classNames() []string {
 		out[i] = rc.Name
 	}
 	return out
-}
-
-// medianTime returns the median wall time of fn over iters runs. If errOut
-// is provided, the first error is stored there and timing stops early.
-func medianTime(iters int, fn func() error, errOut ...*error) time.Duration {
-	times := make([]time.Duration, 0, iters)
-	for i := 0; i < iters; i++ {
-		t0 := time.Now()
-		err := fn()
-		d := time.Since(t0)
-		if err != nil {
-			if len(errOut) > 0 {
-				*errOut[0] = err
-			}
-			return d
-		}
-		times = append(times, d)
-	}
-	sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
-	return times[len(times)/2]
 }
 
 func closeEnough(a, b float64) bool {

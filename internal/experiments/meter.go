@@ -1,17 +1,13 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
-	"os"
-	"runtime"
 	"time"
 
 	"sledge/internal/abi"
 	"sledge/internal/engine"
 	"sledge/internal/stats"
-	"sledge/internal/workloads/polybench"
 )
 
 // meterSliceFuel is the preemption quantum: each Run slice gets this much
@@ -35,13 +31,10 @@ type meterEntry struct {
 
 // meterSnapshot is the machine-readable BENCH_meter.json payload.
 type meterSnapshot struct {
-	Description string       `json:"description"`
-	Go          string       `json:"go"`
-	Quick       bool         `json:"quick"`
-	SliceFuel   int64        `json:"slice_fuel"`
-	Polybench   []meterEntry `json:"polybench"`
-	Geomean     float64      `json:"polybench_geomean_speedup"`
-	Acceptance  string       `json:"acceptance"`
+	snapHeader
+	SliceFuel int64        `json:"slice_fuel"`
+	Polybench []meterEntry `json:"polybench"`
+	Geomean   float64      `json:"polybench_geomean_speedup"`
 }
 
 // runMeterSliced drives one instance to completion under the preemptive
@@ -95,37 +88,28 @@ func RunMeterAblation(o Options) ([]*Table, error) {
 	instrCfg := blockCfg
 	instrCfg.NoBlockMeter = true
 
-	snap := meterSnapshot{
-		Description: "Basic-block fuel metering ablation under the preemptive policy (fixed-fuel slices, BoundsGuard): block metering charges whole regions at static charge points (loop headers, call sites, MaxUncharged splits) with no per-dispatch fuel check; NoBlockMeter is the per-instruction oracle. Gas is bit-identical across both. make bench-meter",
-		Go:          runtime.Version(),
-		Quick:       o.Quick,
-		SliceFuel:   meterSliceFuel,
-	}
+	snap := meterSnapshot{SliceFuel: meterSliceFuel}
+	snap.Description = "Basic-block fuel metering ablation under the preemptive policy (fixed-fuel slices, BoundsGuard): block metering charges whole regions at static charge points (loop headers, call sites, MaxUncharged splits) with no per-dispatch fuel check; NoBlockMeter is the per-instruction oracle. Gas is bit-identical across both. make bench-meter"
 
-	filter := make(map[string]bool, len(o.KernelFilter))
-	for _, name := range o.KernelFilter {
-		filter[name] = true
-	}
 	var speedups []float64
-	for ki := range polybench.Kernels {
-		k := &polybench.Kernels[ki]
-		if len(filter) > 0 && !filter[k.Name] {
-			continue
-		}
-		n := k.DefaultN
-		if o.Quick {
-			n = k.TestN
-		}
+	for _, k := range o.kernels() {
+		n := o.size(k)
 		want := k.Native(n)
-		timeCfg := func(cfg engine.Config) (time.Duration, uint64, int, *engine.CompiledModule, error) {
+		// Both modes run interleaved; each records the gas and slice count
+		// of its latest run.
+		var (
+			cms    [2]*engine.CompiledModule
+			gas    [2]uint64
+			slices [2]int
+			runs   [2]func() error
+		)
+		for i, cfg := range []engine.Config{blockCfg, instrCfg} {
 			cm, err := k.Compile(n, cfg)
 			if err != nil {
-				return 0, 0, 0, nil, fmt.Errorf("meter: %s: %w", k.Name, err)
+				return nil, fmt.Errorf("meter: %s: %w", k.Name, err)
 			}
-			var gas uint64
-			var slices int
-			var runErr error
-			d := medianTime(iters, func() error {
+			cms[i] = cm
+			runs[i] = func() error {
 				got, g, s, err := runMeterSliced(cm, n)
 				if err != nil {
 					return err
@@ -133,34 +117,30 @@ func RunMeterAblation(o Options) ([]*Table, error) {
 				if !closeEnough(got, want) {
 					return fmt.Errorf("%s: checksum %v != native %v", k.Name, got, want)
 				}
-				gas, slices = g, s
+				gas[i], slices[i] = g, s
 				return nil
-			}, &runErr)
-			return d, gas, slices, cm, runErr
+			}
 		}
-		blockD, blockGas, slices, cm, err := timeCfg(blockCfg)
+		medians, err := interleavedMedians(iters, runs[:]...)
 		if err != nil {
 			return nil, err
 		}
-		instrD, instrGas, _, _, err := timeCfg(instrCfg)
-		if err != nil {
-			return nil, err
-		}
-		if blockGas != instrGas {
+		blockD, instrD := medians[0], medians[1]
+		if gas[0] != gas[1] {
 			return nil, fmt.Errorf("meter: %s: gas diverged between metering modes: block %d, per-instr %d",
-				k.Name, blockGas, instrGas)
+				k.Name, gas[0], gas[1])
 		}
 		sp := float64(instrD) / float64(blockD)
 		speedups = append(speedups, sp)
-		an := cm.Analysis()
+		an := cms[0].Analysis()
 		snap.Polybench = append(snap.Polybench, meterEntry{
 			Name: k.Name, N: n,
 			BlockNS: blockD.Nanoseconds(), PerInstrNS: instrD.Nanoseconds(),
-			Speedup: sp, Gas: blockGas, Slices: slices,
+			Speedup: sp, Gas: gas[0], Slices: slices[0],
 			ChargePoints: an.ChargePoints, MaxBlockCost: an.MaxBlockCost,
 		})
 		o.logf("meter: %s n=%d block=%v per-instr=%v (%.2fx) gas=%d slices=%d",
-			k.Name, n, blockD, instrD, sp, blockGas, slices)
+			k.Name, n, blockD, instrD, sp, gas[0], slices[0])
 	}
 	if len(speedups) == 0 {
 		return nil, fmt.Errorf("meter: no kernels selected")
@@ -190,15 +170,8 @@ func RunMeterAblation(o Options) ([]*Table, error) {
 		})
 	}
 
-	if o.SnapshotPath != "" {
-		data, err := json.MarshalIndent(snap, "", "  ")
-		if err != nil {
-			return nil, err
-		}
-		if err := os.WriteFile(o.SnapshotPath, append(data, '\n'), 0o644); err != nil {
-			return nil, fmt.Errorf("meter: snapshot: %w", err)
-		}
-		o.logf("meter: snapshot written to %s", o.SnapshotPath)
+	if err := o.writeSnapshot("meter", &snap); err != nil {
+		return nil, err
 	}
 	return []*Table{tbl}, nil
 }

@@ -1,11 +1,7 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"net"
-	"os"
-	"runtime"
 	"time"
 
 	"sledge/internal/admission"
@@ -22,10 +18,7 @@ import (
 // the excess at the door so goodput stays near capacity and the latency of
 // admitted requests stays bounded by the deadline.
 func RunOverload(o Options) ([]*Table, error) {
-	workers := o.Workers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := o.workers()
 	if workers < 2 {
 		// On a single-core host the colocated load generator cannot
 		// genuinely over-offer a 1-worker runtime; two workers restore
@@ -43,20 +36,21 @@ func RunOverload(o Options) ([]*Table, error) {
 		deadline = 300 * time.Millisecond
 	}
 	body := apps.SpinRequest(uint32(spinIters))
+	spin, _ := apps.Get("spin")
 
 	// Two identical runtimes, one with the admission controller in front.
-	withRT, withURL, err := startOverloadRuntime(workers, &admission.Config{
+	withRT, withURL, err := serveNode(core.Config{Workers: workers, Admission: &admission.Config{
 		DefaultDeadline: deadline,
 		// A short admit queue keeps the latency of admitted requests
 		// bounded by queue depth x service time instead of by client
 		// patience.
 		MaxQueue: 8 * workers,
-	})
+	}}, spin)
 	if err != nil {
 		return nil, err
 	}
 	defer withRT.Close()
-	withoutRT, withoutURL, err := startOverloadRuntime(workers, nil)
+	withoutRT, withoutURL, err := serveNode(core.Config{Workers: workers}, spin)
 	if err != nil {
 		return nil, err
 	}
@@ -154,45 +148,20 @@ func RunOverload(o Options) ([]*Table, error) {
 		}
 	}
 
-	if o.SnapshotPath != "" {
-		snap := struct {
-			App         string      `json:"app"`
-			SpinIters   int         `json:"spin_iters"`
-			Workers     int         `json:"workers"`
-			Quick       bool        `json:"quick"`
-			CapacityRPS float64     `json:"capacity_rps"`
-			DeadlineMS  float64     `json:"deadline_ms"`
-			Points      []pointJSON `json:"points"`
-		}{"spin", spinIters, workers, o.Quick, capacity, float64(deadline) / 1e6, points}
-		data, err := json.MarshalIndent(snap, "", "  ")
-		if err != nil {
-			return nil, err
-		}
-		if err := os.WriteFile(o.SnapshotPath, append(data, '\n'), 0o644); err != nil {
-			return nil, fmt.Errorf("overload snapshot: %w", err)
-		}
-		o.logf("overload: wrote %s", o.SnapshotPath)
+	snap := struct {
+		snapHeader
+		App         string      `json:"app"`
+		SpinIters   int         `json:"spin_iters"`
+		Workers     int         `json:"workers"`
+		CapacityRPS float64     `json:"capacity_rps"`
+		DeadlineMS  float64     `json:"deadline_ms"`
+		Points      []pointJSON `json:"points"`
+	}{snapHeader{
+		Description: "Open-loop overload on the spin workload at 1x/2x/4x closed-loop capacity, with and without the admission controller in front of an otherwise identical runtime. make bench-overload",
+		Acceptance:  "admitted error rate < 1% at 2x capacity",
+	}, "spin", spinIters, workers, capacity, float64(deadline) / 1e6, points}
+	if err := o.writeSnapshot("overload", &snap); err != nil {
+		return nil, err
 	}
 	return []*Table{tbl}, nil
-}
-
-func startOverloadRuntime(workers int, acfg *admission.Config) (*core.Runtime, string, error) {
-	rt := core.New(core.Config{Workers: workers, Admission: acfg})
-	app, _ := apps.Get("spin")
-	cm, err := app.Compile(rt.EngineConfig())
-	if err != nil {
-		rt.Close()
-		return nil, "", err
-	}
-	if _, err := rt.RegisterCompiled("spin", cm, "main", ""); err != nil {
-		rt.Close()
-		return nil, "", err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		rt.Close()
-		return nil, "", err
-	}
-	go rt.Serve(ln)
-	return rt, "http://" + ln.Addr().String(), nil
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"sledge/internal/admission"
+	"sledge/internal/core"
 	"sledge/internal/loadgen"
 	"sledge/internal/workloads/apps"
 )
@@ -17,10 +18,11 @@ func TestOverloadSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("overload smoke skipped in -short mode")
 	}
-	rt, url, err := startOverloadRuntime(2, &admission.Config{
+	spin, _ := apps.Get("spin")
+	rt, url, err := serveNode(core.Config{Workers: 2, Admission: &admission.Config{
 		DefaultDeadline: 300 * time.Millisecond,
 		MaxQueue:        16,
-	})
+	}}, spin)
 	if err != nil {
 		t.Fatal(err)
 	}

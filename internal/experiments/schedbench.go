@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"sync"
 	"time"
@@ -33,12 +31,8 @@ type schedWorkerEntry struct {
 
 // schedSnapshot is the machine-readable BENCH_sched.json payload.
 type schedSnapshot struct {
-	Description string             `json:"description"`
-	Go          string             `json:"go"`
-	GOMAXPROCS  int                `json:"gomaxprocs"`
-	Quick       bool               `json:"quick"`
-	Sweep       []schedWorkerEntry `json:"sweep"`
-	Acceptance  string             `json:"acceptance"`
+	snapHeader
+	Sweep []schedWorkerEntry `json:"sweep"`
 }
 
 // schedBenchDists is the distribution sweep: the per-worker topology
@@ -65,16 +59,12 @@ func RunSchedBench(o Options) ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	snap := schedSnapshot{
-		Description: "Scheduler scale-out sweep: closed-loop tiny requests per (workers × distribution); throughput and submit→first-quantum latency isolate the per-request dispatch overhead. make bench-sched",
-		Go:          runtime.Version(),
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-		Quick:       o.Quick,
-		Acceptance:  "at workers >= 4: work-stealing (per-worker deques, direct submit, targeted wakeups) beats global-deque (dispatcher goroutine + channel hop) on throughput and submit->first-quantum p99",
-	}
+	var snap schedSnapshot
+	snap.Description = "Scheduler scale-out sweep: closed-loop tiny requests per (workers × distribution); throughput and submit→first-quantum latency isolate the per-request dispatch overhead. make bench-sched"
+	snap.Acceptance = "at workers >= 4: work-stealing (per-worker deques, direct submit, targeted wakeups) beats global-deque (dispatcher goroutine + channel hop) on throughput and submit->first-quantum p99"
 	tbl := &Table{
 		ID:      "sched",
-		Title:   fmt.Sprintf("Scheduler scale-out: %d closed-loop requests per cell (GOMAXPROCS=%d)", requests, snap.GOMAXPROCS),
+		Title:   fmt.Sprintf("Scheduler scale-out: %d closed-loop requests per cell (GOMAXPROCS=%d)", requests, runtime.GOMAXPROCS(0)),
 		Headers: []string{"workers", "mechanism", "req/s", "first-quantum p50", "first-quantum p99", "steals"},
 		Notes: []string{
 			"work-stealing submits straight into the least-loaded worker's inbox and wakes that worker;",
@@ -101,15 +91,8 @@ func RunSchedBench(o Options) ([]*Table, error) {
 		}
 		snap.Sweep = append(snap.Sweep, we)
 	}
-	if o.SnapshotPath != "" {
-		buf, err := json.MarshalIndent(snap, "", "  ")
-		if err != nil {
-			return nil, err
-		}
-		if err := os.WriteFile(o.SnapshotPath, append(buf, '\n'), 0o644); err != nil {
-			return nil, err
-		}
-		o.logf("sched: wrote %s", o.SnapshotPath)
+	if err := o.writeSnapshot("sched", &snap); err != nil {
+		return nil, err
 	}
 	return []*Table{tbl}, nil
 }

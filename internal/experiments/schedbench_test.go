@@ -34,6 +34,7 @@ func TestSchedBenchSmoke(t *testing.T) {
 	if err := json.Unmarshal(data, &snap); err != nil {
 		t.Fatalf("snapshot decode: %v", err)
 	}
+	assertHeader(t, snap.snapHeader)
 	if len(snap.Sweep) == 0 {
 		t.Fatal("snapshot has no worker entries")
 	}

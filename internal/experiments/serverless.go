@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"net"
-	"runtime"
 	"time"
 
 	"sledge/internal/core"
@@ -22,51 +21,33 @@ type serverPair struct {
 }
 
 func startServers(o Options, appNames []string) (*serverPair, error) {
-	workers := o.Workers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	rt := core.New(core.Config{Workers: workers})
-	for _, name := range appNames {
-		app, ok := apps.Get(name)
-		if !ok {
-			rt.Close()
-			return nil, fmt.Errorf("experiments: unknown app %s", name)
-		}
-		cm, err := app.Compile(rt.EngineConfig())
-		if err != nil {
-			rt.Close()
-			return nil, err
-		}
-		if _, err := rt.RegisterCompiled(name, cm, "main", ""); err != nil {
-			rt.Close()
-			return nil, err
-		}
-	}
-	ln1, err := net.Listen("tcp", "127.0.0.1:0")
+	fns, err := appsNamed(appNames...)
 	if err != nil {
-		rt.Close()
 		return nil, err
 	}
-	go rt.Serve(ln1)
+	rt, sledgeURL, err := serveNode(core.Config{Workers: o.workers()}, fns...)
+	if err != nil {
+		return nil, err
+	}
 
 	nuc, err := nuclio.New(nuclio.Config{MaxWorkers: 16})
 	if err != nil {
 		rt.Close()
 		return nil, err
 	}
-	ln2, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		rt.Close()
+		nuc.Close()
 		return nil, err
 	}
-	go nuc.Serve(ln2)
+	go nuc.Serve(ln)
 
 	return &serverPair{
 		sledge:    rt,
 		nuclioRT:  nuc,
-		sledgeURL: "http://" + ln1.Addr().String(),
-		nuclioURL: "http://" + ln2.Addr().String(),
+		sledgeURL: sledgeURL,
+		nuclioURL: "http://" + ln.Addr().String(),
 	}, nil
 }
 

@@ -2,17 +2,15 @@ package experiments
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"sledge/internal/core"
+	"sledge/internal/stats"
 	"sledge/internal/wcc"
 	"sledge/internal/workloads/apps"
 )
@@ -105,13 +103,9 @@ type tierupZipfSection struct {
 
 // tierupSnapshot is the machine-readable BENCH_tierup.json payload.
 type tierupSnapshot struct {
-	Description string             `json:"description"`
-	Go          string             `json:"go"`
-	GOMAXPROCS  int                `json:"gomaxprocs"`
-	Quick       bool               `json:"quick"`
-	Storm       tierupStormSection `json:"registration_storm"`
-	Zipf        tierupZipfSection  `json:"zipf_time_to_peak"`
-	Acceptance  string             `json:"acceptance"`
+	snapHeader
+	Storm tierupStormSection `json:"registration_storm"`
+	Zipf  tierupZipfSection  `json:"zipf_time_to_peak"`
 }
 
 // tierupStormModes pairs each storm mode with its runtime tiering config.
@@ -155,18 +149,9 @@ func runTierup(o Options, snap *tierupSnapshot) ([]*Table, error) {
 		zipfDuration = 500 * time.Millisecond
 		zipfWindow = 50 * time.Millisecond
 	}
-	workers := o.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > 8 {
-		workers = 8
-	}
+	workers := min(o.workers(), 8)
 
 	snap.Description = "Adaptive tiering: cheap-rung registration storm vs the static full pipeline, and Zipf closed-loop throughput convergence as the promotion controller recompiles the hot set in the background. make bench-tierup"
-	snap.Go = runtime.Version()
-	snap.GOMAXPROCS = runtime.GOMAXPROCS(0)
-	snap.Quick = o.Quick
 	snap.Acceptance = "registration storm: cheap-rung p50 strictly faster than static-full and within 1.5x of the stack-form cheap rung it replaced (37 us p50 on a 2-vCPU box; compare medians of alternating runs on one box); zipf: adaptive steady-state throughput >= 95% of static-full"
 
 	stormTbl, err := runTierupStorm(o, stormN, &snap.Storm)
@@ -178,15 +163,8 @@ func runTierup(o Options, snap *tierupSnapshot) ([]*Table, error) {
 		return nil, err
 	}
 
-	if o.SnapshotPath != "" {
-		buf, err := json.MarshalIndent(snap, "", "  ")
-		if err != nil {
-			return nil, err
-		}
-		if err := os.WriteFile(o.SnapshotPath, append(buf, '\n'), 0o644); err != nil {
-			return nil, err
-		}
-		o.logf("tierup: wrote %s", o.SnapshotPath)
+	if err := o.writeSnapshot("tierup", snap); err != nil {
+		return nil, err
 	}
 	return []*Table{stormTbl, zipfTbl}, nil
 }
@@ -273,14 +251,14 @@ func runTierupStorm(o Options, stormN int, out *tierupStormSection) (*Table, err
 		if err != nil {
 			return nil, err
 		}
-		sort.Slice(lat, func(a, b int) bool { return lat[a] < lat[b] })
+		sum := stats.Summarize(lat)
 		entry := tierupStormEntry{
 			Mode:        mode.Name,
 			Modules:     stormN,
 			TotalNS:     elapsed.Nanoseconds(),
 			PerModuleNS: elapsed.Nanoseconds() / int64(stormN),
-			P50NS:       lat[stormN/2].Nanoseconds(),
-			P90NS:       lat[stormN*9/10].Nanoseconds(),
+			P50NS:       sum.P50.Nanoseconds(),
+			P90NS:       sum.P90.Nanoseconds(),
 		}
 		if mode.Name == "static-full" {
 			fullP50 = entry.P50NS

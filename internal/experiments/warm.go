@@ -2,19 +2,16 @@ package experiments
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"net"
-	"os"
 	"runtime"
-	"sort"
 	"time"
 
 	"sledge/internal/abi"
 	"sledge/internal/core"
 	"sledge/internal/engine"
 	"sledge/internal/loadgen"
+	"sledge/internal/stats"
 	"sledge/internal/wasm"
 )
 
@@ -85,13 +82,9 @@ type warmFleetSection struct {
 
 // warmSnapshot is the machine-readable BENCH_warm.json payload.
 type warmSnapshot struct {
-	Description string                 `json:"description"`
-	Go          string                 `json:"go"`
-	GOMAXPROCS  int                    `json:"gomaxprocs"`
-	Quick       bool                   `json:"quick"`
+	snapHeader
 	FirstInvoke warmFirstInvokeSection `json:"first_invoke"`
 	Fleet       warmFleetSection       `json:"fleet_economics"`
-	Acceptance  string                 `json:"acceptance"`
 }
 
 // warmInitModule builds the init-heavy module for the first-invoke half: a
@@ -264,18 +257,9 @@ func runWarm(o Options, snap *warmSnapshot) ([]*Table, error) {
 		rate = 1200
 		dur = 600 * time.Millisecond
 	}
-	workers := o.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > 8 {
-		workers = 8
-	}
+	workers := min(o.workers(), 8)
 
 	snap.Description = "Warm starts: post-init snapshot vs start-function replay on first invoke, and a bounded ARC module cache holding fleet goodput under a fixed RSS budget. make bench-warm"
-	snap.Go = runtime.Version()
-	snap.GOMAXPROCS = runtime.GOMAXPROCS(0)
-	snap.Quick = o.Quick
 	snap.Acceptance = "first invoke from snapshot >= 5x faster (p50) than replay; budgeted fleet goodput >= 0.9x unbounded with steady RSS"
 
 	firstTbl, err := runWarmFirstInvoke(o, initBytes, samples, &snap.FirstInvoke)
@@ -287,15 +271,8 @@ func runWarm(o Options, snap *warmSnapshot) ([]*Table, error) {
 		return nil, err
 	}
 
-	if o.SnapshotPath != "" {
-		buf, err := json.MarshalIndent(snap, "", "  ")
-		if err != nil {
-			return nil, err
-		}
-		if err := os.WriteFile(o.SnapshotPath, append(buf, '\n'), 0o644); err != nil {
-			return nil, err
-		}
-		o.logf("warm: wrote %s", o.SnapshotPath)
+	if err := o.writeSnapshot("warm", snap); err != nil {
+		return nil, err
 	}
 	return []*Table{firstTbl, fleetTbl}, nil
 }
@@ -364,15 +341,11 @@ func runWarmFirstInvoke(o Options, initBytes, samples int, out *warmFirstInvokeS
 				done(in)
 			}
 		}
-		sort.Slice(lats, func(a, b int) bool { return lats[a] < lats[b] })
-		var sum time.Duration
-		for _, l := range lats {
-			sum += l
-		}
+		sum := stats.Summarize(lats)
 		return warmFirstInvokeEntry{
 			Mode:   mode,
-			P50NS:  lats[len(lats)/2].Nanoseconds(),
-			MeanNS: (sum / time.Duration(len(lats))).Nanoseconds(),
+			P50NS:  sum.P50.Nanoseconds(),
+			MeanNS: sum.Mean.Nanoseconds(),
 		}, nil
 	}
 
@@ -536,11 +509,14 @@ func runWarmFleet(o Options, fleetM, workers int, rate float64, dur time.Duratio
 func runWarmFleetMode(o Options, bin []byte, fleetM, workers int, rate float64,
 	dur time.Duration, budget int64, sched []int, payload []byte) (warmFleetEntry, error) {
 	entry := warmFleetEntry{BudgetBytes: budget}
-	rt := core.New(core.Config{
+	rt, url, err := serveNode(core.Config{
 		Workers:           workers,
 		CacheBudgetBytes:  budget,
 		CacheScanInterval: 5 * time.Millisecond,
 	})
+	if err != nil {
+		return entry, err
+	}
 	defer rt.Close()
 
 	names := make([]string, fleetM)
@@ -561,13 +537,7 @@ func runWarmFleetMode(o Options, bin []byte, fleetM, workers int, rate float64,
 		return entry, fmt.Errorf("reference invoke: %w", err)
 	}
 
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return entry, err
-	}
-	defer ln.Close()
-	go rt.Serve(ln)
-	base := "http://" + ln.Addr().String() + "/"
+	base := url + "/"
 	targetFn := func(i int) string { return base + names[sched[i%len(sched)]] }
 	validate := func(body []byte) error {
 		if !bytes.Equal(body, want) {
