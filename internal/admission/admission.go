@@ -86,7 +86,7 @@ type Config struct {
 	// EWMAAlpha is the service-time estimator smoothing factor. Default 0.25.
 	EWMAAlpha float64
 	// DefaultEstimate seeds the estimator for modules with no history.
-	// Default 1ms.
+	// Default DefaultEstimate.
 	DefaultEstimate time.Duration
 	// Breaker configures the per-module circuit breakers.
 	Breaker BreakerConfig
@@ -131,11 +131,15 @@ func (c Config) withDefaults() Config {
 		c.EWMAAlpha = 0.25
 	}
 	if c.DefaultEstimate <= 0 {
-		c.DefaultEstimate = time.Millisecond
+		c.DefaultEstimate = DefaultEstimate
 	}
 	c.Breaker = c.Breaker.withDefaults()
 	return c
 }
+
+// DefaultEstimate is Config.DefaultEstimate's default: the service estimate
+// charged a module with no samples and no seed.
+const DefaultEstimate = time.Millisecond
 
 // Reason classifies a refused admission. The constants below are the
 // controller's own shed causes; federated callers (internal/cluster) define
@@ -360,7 +364,7 @@ func (c *Controller) Admit(tenant, module string, deadline time.Duration) (*Tick
 	// Deadline-aware shed: if the queue ahead of us already implies more
 	// waiting than the deadline allows, fail fast instead of timing out
 	// after consuming a slot.
-	if wait := c.queueDelayLocked(est); wait > deadline {
+	if wait := c.loadLocked().Wait(est); wait > deadline {
 		brk.releaseProbe(probe)
 		c.shedDead++
 		ts.shed++
@@ -424,9 +428,9 @@ func (c *Controller) Admit(tenant, module string, deadline time.Duration) (*Tick
 // Retry-After header entirely and give an offloading router no back-off
 // signal — a per-tenant queue bound, for example, can trip while the global
 // queue (and hence the modeled delay) is empty.
-func (c *Controller) retryHintLocked(est int64) time.Duration {
-	wait := c.queueDelayLocked(est)
-	if floor := time.Duration(est / int64(c.cfg.Workers)); wait < floor {
+func (c *Controller) retryHintLocked(est time.Duration) time.Duration {
+	wait := c.loadLocked().Wait(est)
+	if floor := est / time.Duration(c.cfg.Workers); wait < floor {
 		wait = floor
 	}
 	if wait < time.Millisecond {
@@ -482,21 +486,53 @@ func (c *Controller) estFor(module string) *ewma {
 }
 
 // estimateLocked returns the per-request service-time estimate for module.
-func (c *Controller) estimateLocked(module string) int64 {
+func (c *Controller) estimateLocked(module string) time.Duration {
 	e := c.estFor(module)
 	if e.n == 0 {
-		return int64(c.cfg.DefaultEstimate)
+		return c.cfg.DefaultEstimate
 	}
-	return int64(e.val)
+	return time.Duration(e.val)
 }
 
-// queueDelayLocked estimates how long a request arriving now would wait
-// before dispatch: the requests that must complete before a slot frees for
-// it, at est nanos each, spread over the worker cores. A free slot with an
-// empty queue estimates zero. The in-flight count prefers the scheduler
-// probe (which sees sandboxes the controller has already released to the
-// pool).
-func (c *Controller) queueDelayLocked(est int64) time.Duration {
+// Load is the node's queueing state as the admission controller models it:
+// the one input to the queue-wait formula (Wait), shared by the
+// controller's own shed decisions, the node's published health and the
+// cluster router's placement score.
+type Load struct {
+	// Queued is requests waiting in the admit queue.
+	Queued int `json:"queued"`
+	// Inflight is requests dispatched and not yet complete. The controller
+	// takes the largest of its own ticket count, the scheduler probe (which
+	// sees sandboxes the controller has already released, e.g. abandoned
+	// ones still running) and its own count plus the scheduler queue depth
+	// (released requests not yet started).
+	Inflight int `json:"inflight"`
+	// MaxInflight is the dispatch window.
+	MaxInflight int `json:"max_inflight"`
+	// Workers is the drain rate: how many requests complete in parallel.
+	Workers int `json:"workers"`
+}
+
+// Wait estimates how long a request arriving now would wait before
+// dispatch: the requests that must complete before a slot frees for it, at
+// est each, spread over the workers. A free slot with an empty queue
+// estimates zero.
+//
+//sledge:noalloc
+func (l Load) Wait(est time.Duration) time.Duration {
+	ahead := int64(l.Queued+l.Inflight) - int64(l.MaxInflight-1)
+	if ahead <= 0 {
+		return 0
+	}
+	workers := int64(l.Workers)
+	if workers <= 0 {
+		workers = 1
+	}
+	return time.Duration(ahead * int64(est) / workers)
+}
+
+// loadLocked reads the controller's current Load.
+func (c *Controller) loadLocked() Load {
 	inflight := c.inflight
 	if c.cfg.Probe != nil {
 		if p := c.cfg.Probe(); p > inflight {
@@ -504,18 +540,11 @@ func (c *Controller) queueDelayLocked(est int64) time.Duration {
 		}
 	}
 	if c.cfg.QueueDepth != nil {
-		// Requests the controller has released but the pool has not yet
-		// started are backlog ahead of this arrival; the controller's own
-		// count plus the pool's queue is a second lower bound.
 		if d := c.inflight + c.cfg.QueueDepth(); d > inflight {
 			inflight = d
 		}
 	}
-	ahead := int64(c.queued+inflight) - int64(c.cfg.MaxInflight-1)
-	if ahead <= 0 {
-		return 0
-	}
-	return time.Duration(ahead * est / int64(c.cfg.Workers))
+	return Load{Queued: c.queued, Inflight: inflight, MaxInflight: c.cfg.MaxInflight, Workers: c.cfg.Workers}
 }
 
 // dispatchLocked grants free slots to queued waiters in weighted
@@ -657,58 +686,6 @@ func (c *Controller) WaitIdle(timeout time.Duration) bool {
 	}
 }
 
-// ModuleHealth is one module's slice of the compact health view: the
-// service-time estimate the controller sheds against and the breaker state.
-type ModuleHealth struct {
-	EstimateNanos int64  `json:"est_ns"`
-	Breaker       string `json:"breaker"`
-}
-
-// Health is the compact admission view consumed by health pollers (the
-// cluster router, external load balancers). Unlike Stats it carries no
-// tenant accounting and no cumulative counters — just the live signals a
-// placement decision needs — so polling it at router frequency stays cheap.
-type Health struct {
-	Draining    bool                    `json:"draining,omitempty"`
-	Inflight    int                     `json:"inflight"`
-	Queued      int                     `json:"queued"`
-	MaxInflight int                     `json:"max_inflight"`
-	Workers     int                     `json:"workers"`
-	Modules     map[string]ModuleHealth `json:"modules"`
-}
-
-// HealthSnapshot returns the compact health view.
-func (c *Controller) HealthSnapshot() Health {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	h := Health{
-		Draining:    c.draining,
-		Inflight:    c.inflight,
-		Queued:      c.queued,
-		MaxInflight: c.cfg.MaxInflight,
-		Workers:     c.cfg.Workers,
-		Modules:     make(map[string]ModuleHealth, len(c.est)),
-	}
-	for name, e := range c.est {
-		mh := ModuleHealth{Breaker: breakerClosed.String()}
-		if e.n > 0 {
-			mh.EstimateNanos = int64(e.val)
-		}
-		if b, ok := c.breakers[name]; ok {
-			mh.Breaker = b.state.String()
-		}
-		h.Modules[name] = mh
-	}
-	// A breaker can exist for a module with no estimate yet (every request
-	// shed before completion); it still matters to a router.
-	for name, b := range c.breakers {
-		if _, ok := h.Modules[name]; !ok {
-			h.Modules[name] = ModuleHealth{Breaker: b.state.String()}
-		}
-	}
-	return h
-}
-
 // TenantSnapshot is one tenant's admission accounting.
 type TenantSnapshot struct {
 	Weight   int    `json:"weight"`
@@ -717,21 +694,26 @@ type TenantSnapshot struct {
 	Queued   int    `json:"queued"`
 }
 
-// Snapshot is the controller's accounting view, exposed via /__stats.
+// Snapshot is the controller's view, exposed via /__stats and read by the
+// node's compact health view: the Load and estimates the controller sheds
+// against, breaker states, and the cumulative accounting.
 type Snapshot struct {
-	Draining      bool                      `json:"draining"`
-	Inflight      int                       `json:"inflight"`
-	Queued        int                       `json:"queued"`
-	Admitted      uint64                    `json:"admitted"`
-	GrantWaits    uint64                    `json:"grant_waits"`
-	ShedRate      uint64                    `json:"shed_rate_429"`
-	ShedQueue     uint64                    `json:"shed_queue_503"`
-	ShedDeadline  uint64                    `json:"shed_deadline_503"`
-	ShedBreaker   uint64                    `json:"shed_breaker_503"`
-	ShedDraining  uint64                    `json:"shed_draining_503"`
-	Tenants       map[string]TenantSnapshot `json:"tenants"`
-	Breakers      map[string]string         `json:"breakers"`
-	EstimateNanos map[string]int64          `json:"estimate_nanos"`
+	Draining bool `json:"draining"`
+	// Load is the controller's queueing state (the keys flatten).
+	Load
+	// DefaultEstimateNanos is the service estimate the controller charges
+	// a module with no samples and no seed.
+	DefaultEstimateNanos int64                     `json:"default_est_ns"`
+	Admitted             uint64                    `json:"admitted"`
+	GrantWaits           uint64                    `json:"grant_waits"`
+	ShedRate             uint64                    `json:"shed_rate_429"`
+	ShedQueue            uint64                    `json:"shed_queue_503"`
+	ShedDeadline         uint64                    `json:"shed_deadline_503"`
+	ShedBreaker          uint64                    `json:"shed_breaker_503"`
+	ShedDraining         uint64                    `json:"shed_draining_503"`
+	Tenants              map[string]TenantSnapshot `json:"tenants"`
+	Breakers             map[string]string         `json:"breakers"`
+	EstimateNanos        map[string]int64          `json:"estimate_nanos"`
 }
 
 // Shed totals all rejection counters.
@@ -744,19 +726,19 @@ func (c *Controller) Stats() Snapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	snap := Snapshot{
-		Draining:      c.draining,
-		Inflight:      c.inflight,
-		Queued:        c.queued,
-		Admitted:      c.admitted,
-		GrantWaits:    c.grantWaits,
-		ShedRate:      c.shedRate,
-		ShedQueue:     c.shedQueue,
-		ShedDeadline:  c.shedDead,
-		ShedBreaker:   c.shedBreak,
-		ShedDraining:  c.shedDrain,
-		Tenants:       make(map[string]TenantSnapshot, len(c.tenants)),
-		Breakers:      make(map[string]string, len(c.breakers)),
-		EstimateNanos: make(map[string]int64, len(c.est)),
+		Draining:             c.draining,
+		Load:                 c.loadLocked(),
+		DefaultEstimateNanos: int64(c.cfg.DefaultEstimate),
+		Admitted:             c.admitted,
+		GrantWaits:           c.grantWaits,
+		ShedRate:             c.shedRate,
+		ShedQueue:            c.shedQueue,
+		ShedDeadline:         c.shedDead,
+		ShedBreaker:          c.shedBreak,
+		ShedDraining:         c.shedDrain,
+		Tenants:              make(map[string]TenantSnapshot, len(c.tenants)),
+		Breakers:             make(map[string]string, len(c.breakers)),
+		EstimateNanos:        make(map[string]int64, len(c.est)),
 	}
 	for name, ts := range c.tenants {
 		snap.Tenants[name] = TenantSnapshot{

@@ -948,7 +948,11 @@ func TestOffloadable(t *testing.T) {
 	}
 }
 
-func TestHealthSnapshot(t *testing.T) {
+// TestStatsLoadAndModules: the snapshot carries what a health view needs —
+// the Load the controller sheds against, its default estimate, and every
+// module's estimate and breaker state, including a module that tripped its
+// breaker before any success (a breaker but no estimate).
+func TestStatsLoadAndModules(t *testing.T) {
 	c := New(Config{
 		Workers: 2, MaxInflight: 4,
 		Breaker: BreakerConfig{Window: 8, MinSamples: 2, FailureRatio: 0.5},
@@ -965,14 +969,81 @@ func TestHealthSnapshot(t *testing.T) {
 		}
 		tkt.Done(OutcomeTrap, time.Microsecond)
 	}
-	h := c.HealthSnapshot()
-	if h.Workers != 2 || h.MaxInflight != 4 || h.Inflight != 0 || h.Queued != 0 || h.Draining {
-		t.Fatalf("health = %+v, want idle 2-worker view", h)
+	s := c.Stats()
+	if want := (Load{MaxInflight: 4, Workers: 2}); s.Load != want || s.Draining {
+		t.Fatalf("load = %+v draining=%v, want idle %+v", s.Load, s.Draining, want)
 	}
-	if mh, ok := h.Modules["fast"]; !ok || mh.EstimateNanos <= 0 || mh.Breaker != "closed" {
-		t.Fatalf("fast health = %+v, want positive estimate + closed breaker", mh)
+	if s.DefaultEstimateNanos != int64(DefaultEstimate) {
+		t.Fatalf("default estimate = %v, want %v", time.Duration(s.DefaultEstimateNanos), DefaultEstimate)
 	}
-	if mh, ok := h.Modules["crashy"]; !ok || mh.Breaker != "open" {
-		t.Fatalf("crashy health = %+v, want open breaker", mh)
+	if est := s.EstimateNanos["fast"]; est <= 0 || s.Breakers["fast"] != "closed" {
+		t.Fatalf("fast: estimate %d breaker %q, want positive estimate + closed breaker", est, s.Breakers["fast"])
+	}
+	if _, ok := s.EstimateNanos["crashy"]; ok || s.Breakers["crashy"] != "open" {
+		t.Fatalf("crashy: estimates %v breaker %q, want no estimate + open breaker", s.EstimateNanos, s.Breakers["crashy"])
+	}
+}
+
+// TestLoadWait is the one queue-wait formula: the backlog ahead of an
+// arrival beyond the dispatch window, at est each, over the workers.
+func TestLoadWait(t *testing.T) {
+	ms := time.Millisecond
+	for _, tc := range []struct {
+		name string
+		load Load
+		est  time.Duration
+		want time.Duration
+	}{
+		// ahead = 4+6 - (4-1) = 7; wait = 7 * 2ms / 2 workers.
+		{"backlog", Load{Queued: 6, Inflight: 4, MaxInflight: 4, Workers: 2}, 2 * ms, 7 * ms},
+		// A router's pending dispatches are in-flight work the snapshot
+		// has not seen: two more ahead.
+		{"router pending", Load{Queued: 6, Inflight: 6, MaxInflight: 4, Workers: 2}, 2 * ms, 9 * ms},
+		// Free slots: no queueing delay at all.
+		{"idle", Load{Inflight: 1, MaxInflight: 4, Workers: 2}, ms, 0},
+		// Exactly one free slot left: the arrival takes it.
+		{"last slot", Load{Inflight: 3, MaxInflight: 4, Workers: 2}, ms, 0},
+		// Without admission control a node publishes the pool: 2 running
+		// plus 3 queued sandboxes are all in flight, over a window of one
+		// per worker. ahead = 5 - (2-1) = 4; wait = 4 * 1ms / 2.
+		{"no admission", Load{Inflight: 5, MaxInflight: 2, Workers: 2}, ms, 2 * ms},
+		// A zero worker count (a decoded empty snapshot) counts as one.
+		{"no workers", Load{Inflight: 2, MaxInflight: 1}, ms, 2 * ms},
+	} {
+		if got := tc.load.Wait(tc.est); got != tc.want {
+			t.Errorf("%s: %+v.Wait(%v) = %v, want %v", tc.name, tc.load, tc.est, got, tc.want)
+		}
+	}
+}
+
+// TestShedUsesLoadWait: a deadline shed's Retry-After is Load.Wait over the
+// snapshot's Load at the module's estimate — the figure a health poller
+// reading Stats() computes.
+func TestShedUsesLoadWait(t *testing.T) {
+	inflight, depth := 0, 0
+	c := New(Config{
+		Workers: 2, MaxInflight: 2, DefaultEstimate: 10 * time.Millisecond,
+		Probe:      func() int { return inflight },
+		QueueDepth: func() int { return depth },
+	})
+	tkt, rej := c.Admit("a", "m", 0)
+	if rej != nil {
+		t.Fatalf("admit: %v", rej)
+	}
+	defer tkt.Done(OutcomeSuccess, time.Millisecond)
+	// The pool holds three sandboxes the controller released plus this
+	// one, two of them queued.
+	inflight, depth = 4, 2
+	s := c.Stats()
+	if s.Inflight != 4 {
+		t.Fatalf("load inflight = %d, want the probe's 4", s.Inflight)
+	}
+	want := s.Wait(time.Duration(s.DefaultEstimateNanos))
+	_, rej = c.Admit("a", "m", time.Millisecond)
+	if rej == nil || rej.Reason != ReasonDeadlineShed {
+		t.Fatalf("admit under load = %v, want deadline shed", rej)
+	}
+	if want <= 0 || rej.RetryAfter != want {
+		t.Fatalf("Retry-After = %v, want Load.Wait = %v", rej.RetryAfter, want)
 	}
 }

@@ -4,16 +4,17 @@
 // profiles, and injected link latencies, then does locality- and load-aware
 // placement across them.
 //
-// The router consumes each node's existing admission signals — queue depth,
-// per-module EWMA service time, breaker state, tiering state — via the
-// compact core.HealthSnapshot it polls from every node, and scores
-// candidate nodes as
+// The router consumes each node's existing admission signals — the load
+// its admission controller models, per-module service estimates, breaker
+// state, tiering state — via the compact core.HealthSnapshot it polls from
+// every node, and scores candidate nodes as
 //
-//	score = round_trip_link + estimated_queue_wait + service_estimate
+//	score = round_trip_link + queue_wait + service_estimate
 //
-// with a warm bonus for nodes where the module is already promoted to the
-// full tier (sticky routing: hot modules keep landing where their optimized
-// code lives). Crucially, the tier turns shedding into offload: when the
+// where queue_wait is the controller's own formula (admission.Load.Wait), so
+// the router charges a node what the node itself sheds against. Nodes where
+// the module is already promoted to the full tier get a warm bonus (sticky
+// routing: hot modules keep landing where their optimized code lives). Crucially, the tier turns shedding into offload: when the
 // chosen node's admission controller rejects, the router retries the
 // request on the next-best peer within the request deadline, hedges
 // requests that have already blown their recent p99 budget, and only

@@ -5,6 +5,7 @@ import (
 	"net"
 	"time"
 
+	"sledge/internal/admission"
 	"sledge/internal/core"
 	"sledge/internal/httpd"
 )
@@ -30,11 +31,10 @@ type NodeSnapshot struct {
 	Rejected   uint64 `json:"rejected"`
 	Failed     uint64 `json:"failed"`
 	Pending    int64  `json:"pending"`
-	QueueDepth int    `json:"queue_depth"`
-	Inflight   int    `json:"inflight"`
-	Workers    int    `json:"workers"`
-	Draining   bool   `json:"draining,omitempty"`
-	Promoted   int    `json:"promoted,omitempty"`
+	// Load is the node's last published load (the keys flatten).
+	admission.Load
+	Draining bool `json:"draining,omitempty"`
+	Promoted int  `json:"promoted,omitempty"`
 }
 
 // Stats snapshots the router's counters and per-node accounting.
@@ -63,9 +63,7 @@ func (r *Router) Stats() Snapshot {
 			Pending:    n.pending.Load(),
 		}
 		if h := n.health.Load(); h != nil {
-			ns.QueueDepth = h.QueueDepth
-			ns.Inflight = h.Inflight
-			ns.Workers = h.Workers
+			ns.Load = h.Load
 			ns.Draining = h.Draining
 			ns.Promoted = h.Promoted
 		}

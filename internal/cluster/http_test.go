@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"sledge/internal/admission"
 	"sledge/internal/core"
 	"sledge/internal/wcc"
 	"sledge/internal/workloads/apps"
@@ -29,7 +28,7 @@ func serveRouter(t *testing.T, r *Router) string {
 func TestHTTPFrontEnd(t *testing.T) {
 	r := newTestRouter(t, Config{})
 	edge := newTestNode(t, 1, saturatedConfig())
-	cloud := newTestNode(t, 2, &admission.Config{Workers: 2})
+	cloud := newTestNode(t, 2, peerConfig(2))
 	register(t, r, NodeConfig{Name: "edge0", Runtime: edge})
 	register(t, r, NodeConfig{Name: "cloud0", Class: ClassCloud, Link: time.Millisecond, Runtime: cloud})
 	url := serveRouter(t, r)

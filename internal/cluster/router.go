@@ -32,9 +32,6 @@ type Config struct {
 	// DefaultDeadline bounds requests that carry no deadline of their own.
 	// Default 1s.
 	DefaultDeadline time.Duration
-	// DefaultEstimate substitutes as the service estimate for modules with
-	// no samples on a node. Default 1ms.
-	DefaultEstimate time.Duration
 	// HedgeQuantile is the recent-latency quantile a request must exceed
 	// before an offload retry dispatches hedged. Default 0.99.
 	HedgeQuantile float64
@@ -49,9 +46,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DefaultDeadline <= 0 {
 		c.DefaultDeadline = time.Second
-	}
-	if c.DefaultEstimate <= 0 {
-		c.DefaultEstimate = time.Millisecond
 	}
 	if c.HedgeQuantile <= 0 || c.HedgeQuantile >= 1 {
 		c.HedgeQuantile = 0.99
@@ -160,10 +154,13 @@ func (r *Router) pollLoop() {
 }
 
 // score rates dispatching module on n right now: round-trip link latency,
-// the modeled queue wait (including this router's own in-flight dispatches
-// the snapshot has not seen), and the module's service estimate, minus a
-// warm bonus when the node already runs the promoted form — which is what
-// sticky-routes a hot module to the node that tiered it up. Breaker-open
+// the queue wait and the module's service estimate, minus a warm bonus when
+// the node already runs the promoted form — which is what sticky-routes a
+// hot module to the node that tiered it up. The wait is the node admission
+// controller's own formula (admission.Load.Wait) over the node's published
+// load plus this router's in-flight dispatches the snapshot has not seen,
+// at the estimate the node sheds with (its default for a module with no
+// samples), so the router charges what the node would. Breaker-open
 // nodes score a heavy penalty so they are the last resort rather than
 // excluded (they may half-open and recover by the time we dispatch).
 // Returns ok=false when the node cannot take the request at all (draining,
@@ -181,9 +178,11 @@ func (r *Router) score(n *node, module string) (time.Duration, bool) {
 	}
 	est := time.Duration(mh.EWMAServiceNanos)
 	if est <= 0 {
-		est = r.cfg.DefaultEstimate
+		est = time.Duration(h.DefaultEstimateNanos)
 	}
-	s := 2*n.cfg.Link + h.QueueWaitEstimate(module, int(n.pending.Load()), r.cfg.DefaultEstimate) + est
+	load := h.Load
+	load.Inflight += int(n.pending.Load())
+	s := 2*n.cfg.Link + load.Wait(est) + est
 	if mh.Tier == engine.TierLabelFull {
 		// Warm bonus: promoted code is resident here; prefer it over an
 		// otherwise-equal peer that would serve the cheap tier.

@@ -8,6 +8,7 @@ import (
 
 	"sledge/internal/admission"
 	"sledge/internal/core"
+	"sledge/internal/engine"
 	"sledge/internal/wcc"
 	"sledge/internal/workloads/apps"
 )
@@ -15,7 +16,13 @@ import (
 // newTestNode builds a runtime with ping + spin registered.
 func newTestNode(t *testing.T, workers int, acfg *admission.Config) *core.Runtime {
 	t.Helper()
-	rt := core.New(core.Config{Workers: workers, Admission: acfg})
+	return newTestNodeCfg(t, core.Config{Workers: workers, Admission: acfg})
+}
+
+// newTestNodeCfg builds a runtime from cfg with ping + spin registered.
+func newTestNodeCfg(t *testing.T, cfg core.Config) *core.Runtime {
+	t.Helper()
+	rt := core.New(cfg)
 	t.Cleanup(func() { rt.Close() })
 	for _, name := range []string{"ping", "spin"} {
 		app, ok := apps.Get(name)
@@ -114,14 +121,97 @@ func occupy(t *testing.T, rt *core.Runtime) *sync.WaitGroup {
 	return &wg
 }
 
-// saturatedConfig makes a node reject any request with a sub-500ms deadline
-// the moment one request is in flight: one slot, 500ms claimed service time.
+// coldEstimate is what the test nodes charge a module with no samples.
+const coldEstimate = 500 * time.Millisecond
+
+// saturatedConfig makes a node reject any request for a module with no
+// samples and a sub-500ms deadline the moment one request is in flight: one
+// slot, 500ms claimed service time.
 func saturatedConfig() *admission.Config {
 	return &admission.Config{
 		Workers:         1,
 		MaxInflight:     1,
-		DefaultEstimate: 500 * time.Millisecond,
+		DefaultEstimate: coldEstimate,
 	}
+}
+
+// peerConfig is an unloaded peer that charges modules with no samples what
+// saturatedConfig does, so it differs from a saturated node only in load and
+// link: a router whose snapshot predates the saturation prefers the closer
+// saturated node, which sheds, and the request offloads here.
+func peerConfig(workers int) *admission.Config {
+	return &admission.Config{Workers: workers, DefaultEstimate: coldEstimate}
+}
+
+// requireScoreMatchesShed checks that r charges module on its only node
+// exactly what that node's admission controller sheds with: the queue wait
+// the node reports as a deadline shed's Retry-After at the same load, plus
+// est (less the warm bonus on a promoted tier).
+func requireScoreMatchesShed(t *testing.T, r *Router, rt *core.Runtime, module string, est time.Duration) {
+	t.Helper()
+	n := r.nodes[0]
+	n.refresh()
+	got, ok := r.score(n, module)
+	if !ok {
+		t.Fatalf("score(%s) not placeable", module)
+	}
+	_, err := rt.InvokeWithDeadline(module, nil, time.Nanosecond)
+	var rej *admission.Rejection
+	if !errors.As(err, &rej) || rej.Reason != admission.ReasonDeadlineShed {
+		t.Fatalf("node invoke under load = %v, want a deadline shed", err)
+	}
+	want := rej.RetryAfter + est
+	if n.health.Load().Modules[module].Tier == engine.TierLabelFull {
+		want -= est / 4
+	}
+	if got != want {
+		t.Fatalf("router scores %s at %v, node sheds with wait %v + estimate %v (score %v)",
+			module, got, rej.RetryAfter, est, want)
+	}
+}
+
+// TestScoreMatchesNodeForColdModule: a module with no samples is charged
+// the node controller's own default estimate (500ms here), not a router-side
+// one, over the node's own queue wait.
+func TestScoreMatchesNodeForColdModule(t *testing.T) {
+	r := newTestRouter(t, Config{})
+	rt := newTestNode(t, 1, saturatedConfig())
+	register(t, r, NodeConfig{Name: "edge0", Runtime: rt})
+	occupy(t, rt)
+	requireScoreMatchesShed(t, r, rt, "ping", coldEstimate)
+}
+
+// TestScoreMatchesNodeWithAbandonedWork: a sandbox whose request timed out
+// keeps running until its quantum ends. The controller's ticket is gone but
+// the pool still holds it, and the router must count it exactly as the
+// controller does — once.
+func TestScoreMatchesNodeWithAbandonedWork(t *testing.T) {
+	r := newTestRouter(t, Config{})
+	rt := newTestNodeCfg(t, core.Config{
+		Workers:        1,
+		Quantum:        time.Second,
+		RequestTimeout: 30 * time.Millisecond,
+		Admission:      &admission.Config{Workers: 1, MaxInflight: 1},
+	})
+	register(t, r, NodeConfig{Name: "edge0", Runtime: rt})
+	for i := 0; i < 4; i++ {
+		if _, err := rt.Invoke("ping", nil); err != nil {
+			t.Fatalf("ping: %v", err)
+		}
+	}
+	if _, err := rt.Invoke("spin", apps.SpinRequest(50_000_000)); err == nil {
+		t.Fatal("spin finished inside the request timeout")
+	}
+	if rt.Abandoned() != 1 || rt.Pool().Inflight() != 1 {
+		t.Fatalf("abandoned = %d, pool inflight = %d, want a running abandoned sandbox",
+			rt.Abandoned(), rt.Pool().Inflight())
+	}
+	snap, _ := rt.AdmissionStats()
+	est := time.Duration(snap.EstimateNanos["ping"])
+	if est <= 0 {
+		t.Fatal("ping has no estimate after traffic")
+	}
+	requireScoreMatchesShed(t, r, rt, "ping", est)
 }
 
 // TestOffloadOnRejection is the tentpole behaviour: the preferred edge node
@@ -130,7 +220,7 @@ func saturatedConfig() *admission.Config {
 func TestOffloadOnRejection(t *testing.T) {
 	r := newTestRouter(t, Config{})
 	edge := newTestNode(t, 1, saturatedConfig())
-	cloud := newTestNode(t, 4, &admission.Config{Workers: 4})
+	cloud := newTestNode(t, 4, peerConfig(4))
 	// The edge is co-located (preferred); the cloud is 2ms away.
 	register(t, r, NodeConfig{Name: "edge0", Class: ClassEdge, Runtime: edge})
 	register(t, r, NodeConfig{Name: "cloud0", Class: ClassCloud, Link: 2 * time.Millisecond, Runtime: cloud})
@@ -265,8 +355,8 @@ export i32 main() {
 func TestHedgedDispatch(t *testing.T) {
 	r := newTestRouter(t, Config{HedgeMinSamples: 8})
 	edge := newTestNode(t, 1, saturatedConfig())
-	cloudA := newTestNode(t, 2, &admission.Config{Workers: 2})
-	cloudB := newTestNode(t, 2, &admission.Config{Workers: 2})
+	cloudA := newTestNode(t, 2, peerConfig(2))
+	cloudB := newTestNode(t, 2, peerConfig(2))
 	register(t, r, NodeConfig{Name: "edge0", Runtime: edge})
 	register(t, r, NodeConfig{Name: "cloudA", Class: ClassCloud, Link: time.Millisecond, Runtime: cloudA})
 	register(t, r, NodeConfig{Name: "cloudB", Class: ClassCloud, Link: time.Millisecond, Runtime: cloudB})

@@ -1,12 +1,13 @@
 package core
 
 // The machine-readable health surface: a compact per-node snapshot of the
-// live signals a placement decision needs — scheduler queue depth, in-flight
-// count, per-module EWMA service time, breaker states, and the tiering
-// summary. The cluster router (internal/cluster) polls this instead of the
-// full /__stats payload, and external load balancers can hit GET /__health
-// for the same view; both are deliberately cheaper than /__stats (no tenant
-// accounting, no cumulative counters, compact JSON).
+// live signals a placement decision needs — the node's load as its
+// admission controller models it, per-module service estimates, breaker
+// states, and the tiering summary. The cluster router (internal/cluster)
+// polls this instead of the full /__stats payload, and external load
+// balancers can hit GET /__health for the same view; both are
+// deliberately cheaper than /__stats (no tenant accounting, no cumulative
+// counters, compact JSON).
 
 import (
 	"encoding/json"
@@ -21,9 +22,10 @@ import (
 // form sits on (a router prefers nodes where a hot module is already
 // promoted — the code there is warm and fast).
 type ModuleHealth struct {
-	// EWMAServiceNanos is the admission controller's service-time estimate
-	// when one exists, else the module's tier-epoch mean latency; 0 when
-	// the module has never completed a request on the installed form.
+	// EWMAServiceNanos is the module's service estimate (serviceEstimate):
+	// the admission controller's EWMA when it has samples, else the
+	// tier-epoch seed; 0 when the module has never completed a request on
+	// the installed form.
 	EWMAServiceNanos int64 `json:"ewma_ns"`
 	// Breaker is the module's circuit state ("closed", "open",
 	// "half-open"); empty when the node runs without admission control.
@@ -35,78 +37,74 @@ type ModuleHealth struct {
 
 // HealthSnapshot is the node's compact health view.
 type HealthSnapshot struct {
-	// QueueDepth is sandboxes queued in the scheduler but not started.
-	QueueDepth int `json:"queue_depth"`
-	// Inflight is sandboxes dispatched and not yet complete.
-	Inflight int `json:"inflight"`
-	// Workers is the node's worker-core count (converts backlog to wait).
-	Workers int `json:"workers"`
-	// MaxInflight and AdmitQueued describe the admission controller's
-	// dispatch window and queue; both are 0 without admission control.
-	MaxInflight int `json:"max_inflight,omitempty"`
-	AdmitQueued int `json:"admit_queued,omitempty"`
+	// Load is the node's queueing state, the input to admission.Load.Wait
+	// (the keys flatten). With admission control it is the controller's
+	// own; without, the pool's: every sandbox in flight (queued ones
+	// included) over a window of one per worker.
+	admission.Load
+	// DefaultEstimateNanos is the service estimate the node charges a
+	// module with no samples (EWMAServiceNanos == 0).
+	DefaultEstimateNanos int64 `json:"default_est_ns"`
 	// Draining reports a node refusing new work for graceful shutdown.
 	Draining bool `json:"draining,omitempty"`
 	// Promoted/Promoting summarize the tiering controller's progress;
 	// both are 0 when tiering is off.
 	Promoted  int `json:"promoted,omitempty"`
 	Promoting int `json:"promoting,omitempty"`
-	// Modules maps registered module names to their health.
+	// Modules maps registered module names, and pipelines under their
+	// reserved "p/<name>" keys, to their health.
 	Modules map[string]ModuleHealth `json:"modules"`
 }
 
 // Health assembles the node's compact health snapshot.
 func (rt *Runtime) Health() HealthSnapshot {
+	workers := rt.pool.Workers()
 	h := HealthSnapshot{
-		QueueDepth: rt.pool.QueueDepth(),
-		Inflight:   rt.pool.Inflight(),
-		Workers:    rt.pool.Workers(),
+		Load:                 admission.Load{Inflight: rt.pool.Inflight(), MaxInflight: workers, Workers: workers},
+		DefaultEstimateNanos: int64(admission.DefaultEstimate),
 	}
-	var ah admission.Health
+	var as admission.Snapshot
 	if rt.adm != nil {
-		ah = rt.adm.HealthSnapshot()
-		h.MaxInflight = ah.MaxInflight
-		h.AdmitQueued = ah.Queued
-		h.Draining = ah.Draining
-		if ah.Inflight > h.Inflight {
-			h.Inflight = ah.Inflight
+		as = rt.adm.Stats()
+		h.Load = as.Load
+		h.DefaultEstimateNanos = as.DefaultEstimateNanos
+		h.Draining = as.Draining
+	}
+	entry := func(key string, seed time.Duration, tier string) ModuleHealth {
+		mh := ModuleHealth{
+			EWMAServiceNanos: int64(serviceEstimate(time.Duration(as.EstimateNanos[key]), seed)),
+			Tier:             tier,
 		}
-		if ah.Workers > h.Workers {
-			// The admission capacity hint exceeds the core count when
-			// functions block on I/O (the event loop drains the whole
-			// dispatch window concurrently); the external wait model must
-			// divide by the same drain rate the controller sheds against.
-			h.Workers = ah.Workers
+		if rt.adm != nil {
+			// A module the controller has not seen yet has a closed circuit.
+			if mh.Breaker = as.Breakers[key]; mh.Breaker == "" {
+				mh.Breaker = "closed"
+			}
 		}
+		return mh
 	}
 	rt.mu.RLock()
-	h.Modules = make(map[string]ModuleHealth, len(rt.registry))
+	defer rt.mu.RUnlock()
+	h.Modules = make(map[string]ModuleHealth, len(rt.registry)+len(rt.pipelines))
 	for name, m := range rt.registry {
-		mh := ModuleHealth{Tier: TierLabelCold}
+		tier := TierLabelCold
 		if cm := m.Compiled(); cm != nil {
-			mh.Tier = cm.TierLabel()
+			tier = cm.TierLabel()
 		}
-		if amh, ok := ah.Modules[name]; ok {
-			mh.EWMAServiceNanos = amh.EstimateNanos
-			mh.Breaker = amh.Breaker
-		}
-		if mh.EWMAServiceNanos == 0 {
-			// No admission estimate (yet): fall back to the tier-epoch mean,
-			// which describes the installed compiled form.
-			mh.EWMAServiceNanos = int64(m.seedLatency())
-		}
+		h.Modules[name] = entry(name, m.seedLatency(), tier)
 		switch m.tier.Load() {
 		case tierPromoted:
 			h.Promoted++
 		case tierPromoting:
 			h.Promoting++
 		}
-		h.Modules[name] = mh
 	}
-	rt.mu.RUnlock()
-	// Pipelines appear under their reserved "p/<name>" keys so routers
-	// place whole chains like modules (pipeline.go).
-	rt.pipelineHealth(&h, ah)
+	// Pipelines appear under their reserved keys so routers place whole
+	// chains like modules; a chain is only as warm as its coldest stage.
+	for name, p := range rt.pipelines {
+		key := PipelinePrefix + name
+		h.Modules[key] = entry(key, chainSeedLocked(rt, p), chainTierLocked(rt, p))
+	}
 	return h
 }
 
@@ -121,35 +119,14 @@ func (rt *Runtime) healthResponse() httpd.Response {
 	return httpd.Response{Status: 200, ContentType: "application/json", Body: body}
 }
 
-// estimateFor returns the health snapshot's service estimate for module in
-// nanoseconds, or def when the module is unknown or has no samples.
-func (h *HealthSnapshot) estimateFor(module string, def int64) int64 {
-	if mh, ok := h.Modules[module]; ok && mh.EWMAServiceNanos > 0 {
-		return mh.EWMAServiceNanos
+// serviceEstimate is the one rule for the expected service time of a module
+// or chain, the figure the node sheds against and publishes: the admission
+// controller's EWMA when it has samples (ewma > 0), else seed — the
+// module's tier-epoch mean, or for a chain the sum of its stages' (the
+// controller seeds its estimator from the same figures).
+func serviceEstimate(ewma, seed time.Duration) time.Duration {
+	if ewma > 0 {
+		return ewma
 	}
-	return def
-}
-
-// QueueWaitEstimate mirrors the admission controller's queueing-delay model
-// from the outside: the backlog that must drain before a new arrival for
-// module gets a slot, at the module's estimated service time, spread over
-// the worker cores. extraInflight is backlog the snapshot cannot see yet
-// (e.g. requests a router has dispatched since the last poll). defEstimate
-// substitutes for modules with no samples.
-func (h *HealthSnapshot) QueueWaitEstimate(module string, extraInflight int, defEstimate time.Duration) time.Duration {
-	est := h.estimateFor(module, int64(defEstimate))
-	slots := h.MaxInflight
-	if slots <= 0 {
-		// No admission controller: the dispatch window is the worker count.
-		slots = h.Workers
-	}
-	ahead := int64(h.AdmitQueued+h.QueueDepth+h.Inflight+extraInflight) - int64(slots-1)
-	if ahead <= 0 {
-		return 0
-	}
-	workers := h.Workers
-	if workers <= 0 {
-		workers = 1
-	}
-	return time.Duration(ahead * est / int64(workers))
+	return seed
 }

@@ -98,47 +98,31 @@ func TestHealthEndpoint(t *testing.T) {
 	}
 }
 
-func TestQueueWaitEstimate(t *testing.T) {
-	h := &HealthSnapshot{
-		Workers:     2,
-		MaxInflight: 4,
-		Inflight:    4,
-		AdmitQueued: 6,
-		Modules: map[string]ModuleHealth{
-			"sum": {EWMAServiceNanos: int64(2 * time.Millisecond)},
-		},
+// TestHealthLoadWithoutAdmission: a node without admission control
+// publishes the pool's load — every sandbox in flight, queued ones
+// included, over a dispatch window of one per worker — and the admission
+// default as its estimate for modules with no samples.
+func TestHealthLoadWithoutAdmission(t *testing.T) {
+	rt := New(Config{Workers: 2})
+	t.Cleanup(func() { rt.Close() })
+	registerSum(t, rt, "sum")
+	h := rt.Health()
+	if want := (admission.Load{MaxInflight: 2, Workers: 2}); h.Load != want {
+		t.Errorf("load = %+v, want %+v", h.Load, want)
 	}
-	// ahead = 4+6 - (4-1) = 7; wait = 7 * 2ms / 2 workers = 7ms.
-	if got := h.QueueWaitEstimate("sum", 0, time.Second); got != 7*time.Millisecond {
-		t.Errorf("wait = %v, want 7ms", got)
+	if h.DefaultEstimateNanos != int64(admission.DefaultEstimate) {
+		t.Errorf("default estimate = %v, want %v", time.Duration(h.DefaultEstimateNanos), admission.DefaultEstimate)
 	}
-	// Router-side pending counts as backlog the snapshot has not seen.
-	if got := h.QueueWaitEstimate("sum", 2, time.Second); got != 9*time.Millisecond {
-		t.Errorf("wait with pending = %v, want 9ms", got)
-	}
-	// Unknown modules fall back to the caller's default estimate.
-	if got := h.QueueWaitEstimate("ghost", 0, 4*time.Millisecond); got != 14*time.Millisecond {
-		t.Errorf("default-estimate wait = %v, want 14ms", got)
-	}
-	// Free slots: no queueing delay at all.
-	idle := &HealthSnapshot{Workers: 2, MaxInflight: 4, Inflight: 1}
-	if got := idle.QueueWaitEstimate("sum", 0, time.Millisecond); got != 0 {
-		t.Errorf("idle wait = %v, want 0", got)
-	}
-	// Without admission control the dispatch window is the worker count.
-	raw := &HealthSnapshot{Workers: 2, QueueDepth: 3, Inflight: 2,
-		Modules: map[string]ModuleHealth{"sum": {EWMAServiceNanos: int64(time.Millisecond)}}}
-	// ahead = 3+2 - 1 = 4; wait = 4 * 1ms / 2 = 2ms.
-	if got := raw.QueueWaitEstimate("sum", 0, time.Second); got != 2*time.Millisecond {
-		t.Errorf("no-admission wait = %v, want 2ms", got)
+	if mh := h.Modules["sum"]; mh.Breaker != "" || mh.EWMAServiceNanos != 0 {
+		t.Errorf("sum = %+v, want no breaker and no samples", mh)
 	}
 }
 
 // TestHealthWorkersUsesAdmissionHint: when the admission controller's
 // capacity hint exceeds the scheduler's core count (I/O-bound functions
 // whose blocked sandboxes drain concurrently on the event loop), the
-// snapshot reports the larger drain rate so external wait estimates agree
-// with the controller's own shed decisions.
+// snapshot publishes the controller's drain rate, not the core count, so
+// external wait estimates agree with the controller's own shed decisions.
 func TestHealthWorkersUsesAdmissionHint(t *testing.T) {
 	rt := New(Config{Workers: 1, Admission: &admission.Config{Workers: 8, MaxInflight: 8}})
 	t.Cleanup(func() { rt.Close() })

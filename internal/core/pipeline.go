@@ -35,7 +35,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"sledge/internal/admission"
 	"sledge/internal/engine"
 	"sledge/internal/sandbox"
 )
@@ -173,15 +172,13 @@ func (rt *Runtime) Pipelines() []string {
 }
 
 // stageEstimate is the expected service time of one stage for the remaining-
-// budget shed decision: the admission controller's live per-module EWMA when
-// it has samples, else the module's tier-epoch mean.
+// budget shed decision (serviceEstimate over the controller's live EWMA).
 func (rt *Runtime) stageEstimate(m *Module) time.Duration {
+	var ewma time.Duration
 	if rt.adm != nil {
-		if est := rt.adm.Estimate(m.Name); est > 0 {
-			return est
-		}
+		ewma = rt.adm.Estimate(m.Name)
 	}
-	return m.seedLatency()
+	return serviceEstimate(ewma, m.seedLatency())
 }
 
 // handoff resolves a completed stage's result — the next stage's request,
@@ -228,28 +225,6 @@ func chainSeedLocked(rt *Runtime, p *Pipeline) time.Duration {
 		}
 	}
 	return sum
-}
-
-// pipelineHealth folds registered pipelines into the health snapshot under
-// their reserved "p/<name>" keys, so a cluster router places whole chains
-// exactly like modules: EWMA from the admission controller when it has
-// chain samples, else the summed stage seed; the tier label is the chain's
-// weakest stage (a chain is only as warm as its coldest link).
-func (rt *Runtime) pipelineHealth(h *HealthSnapshot, ah admission.Health) {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	for name, p := range rt.pipelines {
-		key := PipelinePrefix + name
-		mh := ModuleHealth{Tier: chainTierLocked(rt, p)}
-		if amh, ok := ah.Modules[key]; ok {
-			mh.EWMAServiceNanos = amh.EstimateNanos
-			mh.Breaker = amh.Breaker
-		}
-		if mh.EWMAServiceNanos == 0 {
-			mh.EWMAServiceNanos = int64(chainSeedLocked(rt, p))
-		}
-		h.Modules[key] = mh
-	}
 }
 
 // chainTierLocked is the pipeline's weakest stage tier. Callers hold rt.mu.

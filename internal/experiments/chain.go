@@ -232,8 +232,7 @@ func runChain(o Options, snap *chainSnapshot) ([]*Table, error) {
 
 	handoffBase := pipe.Stats()
 	res, err := loadgen.Run(loadgen.Options{
-		URL:         base,
-		Pipeline:    "imgchain",
+		URL:         loadgen.PipelineURL(base, "imgchain"),
 		Concurrency: conc,
 		Requests:    requests,
 		Body:        req,

@@ -92,7 +92,7 @@ func RunContinuum(o Options) ([]*Table, error) {
 		return nil
 	}
 
-	router := cluster.New(cluster.Config{DefaultDeadline: deadline, DefaultEstimate: kvLat})
+	router := cluster.New(cluster.Config{DefaultDeadline: deadline})
 	defer router.Close()
 	var (
 		nodes   []*core.Runtime

@@ -46,12 +46,6 @@ type Target struct {
 type Options struct {
 	// URL is the target, e.g. "http://127.0.0.1:8080/ping".
 	URL string
-	// Pipeline, when set, selects pipeline target mode: requests invoke the
-	// named registered chain (POST <base>/p/<name>) and the recorded
-	// percentiles are end-to-end chain latencies — stage 0 admission to
-	// stage N-1's reply. URL (and each Target URL) is treated as the node
-	// base address; the pipeline path is appended with PipelineURL.
-	Pipeline string
 	// Targets, when non-empty, selects multi-target mode: request i goes to
 	// the endpoint a smooth weighted round-robin schedule assigns it, so
 	// load can be aimed at a cluster router (one target) or sprayed across
@@ -140,17 +134,6 @@ func Run(opts Options) (Result, error) {
 	}
 	if opts.Timeout == 0 {
 		opts.Timeout = 30 * time.Second
-	}
-	if opts.Pipeline != "" {
-		// Pipeline target mode: rewrite base addresses to the chain's
-		// invoke path before the schedule is expanded, so every mode
-		// (single URL, weighted targets, TargetFn) hits the chain.
-		if opts.URL != "" {
-			opts.URL = PipelineURL(opts.URL, opts.Pipeline)
-		}
-		for i := range opts.Targets {
-			opts.Targets[i].URL = PipelineURL(opts.Targets[i].URL, opts.Pipeline)
-		}
 	}
 	if opts.TargetFn != nil {
 		// Per-request selection; no schedule to expand.

@@ -282,9 +282,9 @@ func TestPipelineURL(t *testing.T) {
 	}
 }
 
-// TestPipelineTargetMode: Pipeline rewrites the base URL (and every weighted
-// target) to the chain's /p/<name> route, and the summary reports the
-// end-to-end chain latency the server took to reply.
+// TestPipelineTargetMode: a PipelineURL target (single or weighted) hits
+// the chain's /p/<name> route, and the summary reports the end-to-end chain
+// latency the server took to reply.
 func TestPipelineTargetMode(t *testing.T) {
 	var chainHits atomic.Int64
 	handler := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -301,8 +301,7 @@ func TestPipelineTargetMode(t *testing.T) {
 	defer srv2.Close()
 
 	res, err := Run(Options{
-		URL:      srv.URL,
-		Pipeline: "imgchain",
+		URL:      PipelineURL(srv.URL, "imgchain"),
 		Requests: 20,
 	})
 	if err != nil {
@@ -318,10 +317,9 @@ func TestPipelineTargetMode(t *testing.T) {
 		t.Error("no end-to-end chain latency recorded")
 	}
 
-	// Weighted targets get the same rewrite.
+	// Weighted targets address the chain the same way.
 	res, err = Run(Options{
-		Targets:  []Target{{URL: srv.URL}, {URL: srv2.URL}},
-		Pipeline: "imgchain",
+		Targets:  []Target{{URL: PipelineURL(srv.URL, "imgchain")}, {URL: PipelineURL(srv2.URL, "imgchain")}},
 		Requests: 10,
 	})
 	if err != nil || res.Errors != 0 || res.Summary.Count != 10 {

@@ -619,8 +619,10 @@ func (w *worker) loop() {
 		}
 		w.drainTimers()
 		w.admit()
-		w.qlen.Store(int64(w.runq.Len()+w.timers.len()) + w.overflowN)
 		sb, ok := w.runq.Pop()
+		// Published after the pop: the sandbox about to run is counted by
+		// running, not as queued.
+		w.qlen.Store(int64(w.runq.Len()+w.timers.len()) + w.overflowN)
 		if !ok {
 			w.idleWait()
 			continue
@@ -645,6 +647,12 @@ func (w *worker) loop() {
 		switch st {
 		case sandbox.StateRunnable:
 			w.preemptions.Add(sb.Preemptions - prevPre)
+			// Arrivals waiting in the inbox share the core at once (§3.4):
+			// queue them ahead of the preempted sandbox, not behind it for
+			// another quantum.
+			if room := p.cfg.MaxLocalRunq - w.runq.Len() - 1; room > 0 {
+				w.drainInbox(room)
+			}
 			w.runq.Push(sb)
 		case sandbox.StateBlocked:
 			w.blocked.Add(1)

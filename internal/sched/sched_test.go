@@ -417,6 +417,81 @@ func TestWorkConservation(t *testing.T) {
 	}
 }
 
+// submitSpin submits a spin of reqLen×1000 iterations; onDone runs on the
+// worker at completion.
+func submitSpin(t *testing.T, p *Pool, cm *engine.CompiledModule, reqLen int, onDone func()) {
+	t.Helper()
+	sb, err := sandbox.New(cm, make([]byte, reqLen), sandbox.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb.OnComplete = func(*sandbox.Sandbox) { onDone() }
+	if err := p.Submit(sb); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// waitPreempted waits until the pool has preempted at least n times.
+func waitPreempted(t *testing.T, p *Pool, n uint64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for p.Stats().Preemptions < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("fewer than %d preemptions: %+v", n, p.Stats())
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// TestQueueDepthExcludesRunning: a worker mid-quantum on its only sandbox
+// has nothing queued — QueueDepth is 0 and the worker's load is the one
+// running sandbox, not that sandbox counted again as queued.
+func TestQueueDepthExcludesRunning(t *testing.T) {
+	cm := compileTestModule(t, spinSrc)
+	p := NewPool(Config{Workers: 1, Quantum: time.Millisecond})
+	defer p.Stop()
+	done := make(chan struct{})
+	submitSpin(t, p, cm, 5000, func() { close(done) })
+	waitPreempted(t, p, 1)
+	for i := 0; i < 20; i++ {
+		if d := p.QueueDepth(); d != 0 {
+			t.Fatalf("QueueDepth = %d with one running sandbox, want 0", d)
+		}
+		if l := p.workers[0].load(); l > 1 {
+			t.Fatalf("worker load = %d with one running sandbox, want <= 1", l)
+		}
+		time.Sleep(200 * time.Microsecond)
+	}
+	<-done
+}
+
+// TestArrivalRunsBeforePreemptedSandbox: a request that arrives while a
+// lone hog is mid-quantum runs as soon as that quantum ends, ahead of the
+// preempted hog — one preemption between submit and completion, not two.
+// Preemptions are counted rather than wall time, so the test does not
+// depend on host speed.
+func TestArrivalRunsBeforePreemptedSandbox(t *testing.T) {
+	cm := compileTestModule(t, spinSrc)
+	p := NewPool(Config{Workers: 1, Quantum: 5 * time.Millisecond})
+	defer p.Stop()
+	hogDone := make(chan struct{})
+	submitSpin(t, p, cm, 10000, func() { close(hogDone) })
+	waitPreempted(t, p, 2)
+	before := p.Stats().Preemptions
+	at := make(chan uint64, 1)
+	submitSpin(t, p, cm, 1, func() { at <- p.Stats().Preemptions })
+	var after uint64
+	select {
+	case after = <-at:
+	case <-hogDone:
+		t.Fatal("hog finished before the short request")
+	}
+	if n := after - before; n > 1 {
+		t.Errorf("%d preemptions between the short's submit and its completion, want <= 1", n)
+	}
+	<-hogDone
+}
+
 // TestShortStolenBehindHogs is the fairness property: a short function that
 // placement queued behind a long hog must not wait for the hog — an idle
 // peer steals and completes it. Cooperative mode is the sharp version (the

@@ -171,8 +171,10 @@ type (
 type (
 	// ClusterRouter is the federated front tier over registered nodes.
 	ClusterRouter = cluster.Router
-	// ClusterConfig configures routing: poll interval, default deadline
-	// and estimate, hedging thresholds.
+	// ClusterConfig configures routing: poll interval, default deadline,
+	// hedging thresholds. Service estimates and queue waits are the nodes'
+	// own (their admission controllers' published load, estimates and
+	// default estimate), so the router has no estimate knob of its own.
 	ClusterConfig = cluster.Config
 	// ClusterNodeConfig declares one node: name, class, link latency, and
 	// the member runtime.
